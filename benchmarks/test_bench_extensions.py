@@ -27,8 +27,8 @@ def test_detector_comparison(once):
     ddg = rows["ddg"]
     assert ddg["speedup"] > 0.02
     liberal = max(
-        rows["oldest_in_rob"]["avg_flagged_pcs"],
-        rows["consumer_count"]["avg_flagged_pcs"],
+        rows["oldest-in-rob"]["avg_flagged_pcs"],
+        rows["consumer-count"]["avg_flagged_pcs"],
     )
     assert ddg["avg_flagged_pcs"] < liberal
     # Every detector must at least not hurt: TACT only prefetches.

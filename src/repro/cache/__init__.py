@@ -1,10 +1,15 @@
-"""Content-addressed result cache tier (see ARCHITECTURE.md, "Result cache").
+"""Stored results: one entry format, two views (see ARCHITECTURE.md,
+"Result store and cache").
 
-:class:`ResultCache` layers cross-campaign reuse over the per-campaign
-checkpoint store: exact hits return stored results byte-identically with
-``cache_hit`` provenance; near hits (opt-in) serve quick estimates with
-explicit ``near_hit`` provenance.  ``python -m repro.cache`` administers a
-cache directory (``ls``/``stats``/``gc``/``pin``/``unpin``).
+:mod:`repro.cache.result_cache` owns the on-disk entry — key, path,
+envelope, validator and ``*.corrupt`` quarantine — for both views over it:
+the per-campaign checkpoint store (:class:`repro.runner.store.ResultStore`)
+and the cross-campaign :class:`ResultCache`.  The cache's exact hits return
+stored results byte-identically with ``cache_hit`` provenance; near hits
+(opt-in) serve quick estimates with explicit ``near_hit`` provenance.
+``python -m repro.cache`` administers any entry directory — a shared cache
+or a campaign/daemon checkpoint dir (``ls``/``stats``/``gc``/``pin``/
+``unpin``).
 
 Consumers wire a cache in with the shared argparse helpers below — the
 experiment CLI (``python -m repro.experiments ... --cache-dir``) and the
@@ -17,7 +22,7 @@ from __future__ import annotations
 import argparse
 
 from .result_cache import (
-    CACHE_FORMAT_VERSION,
+    ENTRY_FORMAT_VERSION,
     CacheHit,
     CacheStats,
     ResultCache,
@@ -69,7 +74,7 @@ def cache_from_args(args: argparse.Namespace) -> ResultCache | None:
 
 
 __all__ = [
-    "CACHE_FORMAT_VERSION",
+    "ENTRY_FORMAT_VERSION",
     "CacheHit",
     "CacheStats",
     "ResultCache",

@@ -1,60 +1,61 @@
-"""Content-addressed result cache: cross-campaign reuse of measurements.
+"""Result entries on disk, and the content-addressed cache over them.
 
-The cache is a tier *above* the per-campaign checkpoint store
-(:mod:`repro.runner.store`): where a store answers "did **this campaign**
-already run this point?", the cache answers "did **anyone, ever** run it?".
-Entries are keyed by ``(config fingerprint, workload fingerprint,
-n_instrs)`` — the config fingerprint is the SHA-256 of the canonical config
-JSON (:func:`repro.runner.store.config_fingerprint`), the workload
-fingerprint (:func:`repro.plugins.workloads.workload_fingerprint`) the
-SHA-256 of the workload's *content* (kernel + parameters, trace-file bytes,
-or a mix's member tuple).  The key is therefore a full content address: any
-parameter change produces a different key, two machines that merely share a
-``name`` never collide, and — since workload names are display-only — two
-*workloads* that share (or sanitise to) the same name never collide either.
+Every stored measurement — a campaign checkpoint or a shared-cache entry —
+is one JSON **entry** in one format, defined only here:
 
-Entries written before workload fingerprints existed used name-keyed stems;
-lookups fall back to those legacy stems (validating the payload's workload
-name), so an existing cache directory keeps serving exact hits without
-migration.  Legacy entries do not participate in *near* matching — re-run
-(or re-``put``) a point once to upgrade its entry.
+* **Key** (:class:`EntryKey`): config fingerprint (SHA-256 of the canonical
+  config JSON, :func:`config_fingerprint`), workload fingerprint (SHA-256
+  of the workload's *content*, :func:`repro.plugins.workloads
+  .workload_fingerprint`), display name and ``n_instrs``.  Any parameter
+  change gives a new key; names that merely match never collide.
+* **Path** (:func:`entry_path`): ``<fp[:24]>--<wfp[:16]>--<safe name>--<n>
+  .json``; the full digests are stored inside and verified on read.
+* **Envelope**: ``{"entry_version", <key fields>, "config", "result"}``,
+  written durably and atomically (:func:`write_entry`) and read through
+  one validator (:func:`read_entry`).
+* **Quarantine** (:func:`quarantine`): an unreadable, wrong-schema or
+  earlier-format file is renamed ``*.corrupt`` and costs one
+  re-simulation, never a crash and never a wrong answer.
 
-Two kinds of answers:
+Two views share the format: the per-campaign checkpoint store
+(:class:`repro.runner.store.ResultStore`: "did **this campaign** already
+run this point?") and :class:`ResultCache` ("did **anyone, ever**?"), so
+``python -m repro.cache ls`` lists a checkpoint directory as readily as a
+cache.  The cache answers with:
 
 * **Exact hits** — same key.  The stored :class:`RunResult` is returned
-  untouched, so a consumer that re-checkpoints it produces byte-identical
-  JSON; the ``{"cache_hit": True}`` provenance travels in
+  untouched (re-checkpointing it is byte-identical); the
+  ``{"cache_hit": True}`` provenance travels in
   :attr:`CacheHit.provenance`, never inside the result payload.
-* **Near hits** (opt-in via ``near=True`` / ``--cache-near``) — a related
-  measurement served as a *quick estimate*: the same point at a **lower**
-  ``n_instrs``, or a machine differing in exactly **one numeric parameter**
-  (a neighboring value of a single swept knob).  The returned result is a
-  *copy* whose ``telemetry["cache"]`` carries
-  ``{near_hit, source_key, requested_n_instrs, ...}`` provenance, so
-  estimate data can never silently mix with exact data.  Near results must
-  never be written back into a store or the cache under the requested key.
+* **Near hits** (opt-in via ``near=True`` / ``--cache-near``) — a quick
+  estimate from the same point at a **lower** ``n_instrs``, or from a
+  machine differing in exactly **one numeric parameter**.  The result is
+  a *copy* whose ``telemetry["cache"]`` carries ``{near_hit, source_key,
+  requested_n_instrs, ...}``, and it is never written back under the
+  requested key.
 
-Durability and hygiene mirror the checkpoint store: entries are written
-with :func:`repro.ioutil.atomic_write_json` (first write wins — the cache
-is content-addressed, so a re-put of the same key is a no-op), unreadable
-or wrong-schema entries are *quarantined* to ``*.corrupt`` (numbered on
-collision) and counted, and :meth:`ResultCache.gc` evicts least-recently
-used entries down to a byte budget — except **pinned** entries (``*.pin``
-sidecars, e.g. golden-parity baselines), which are never evicted.
+Cache puts are first-write-wins (content-addressed, so a re-put is a
+no-op); :meth:`ResultCache.gc` evicts least-recently-used entries down to
+a byte budget, never **pinned** ones (``*.pin`` sidecars, e.g.
+golden-parity baselines).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
 import re
-from dataclasses import asdict, dataclass, field
+import weakref
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from ..errors import CheckpointError
 from ..ioutil import atomic_write_json, io_backend
 from ..obs import get_logger, log_event
+from ..plugins.workloads import workload_fingerprint
 from ..sim.config import SimConfig
 from ..sim.metrics import RunResult
 from ..sim.serialization import (
@@ -64,40 +65,163 @@ from ..sim.serialization import (
     result_to_dict,
 )
 
-#: Schema version of the cache entry envelope.
-CACHE_FORMAT_VERSION = 1
+#: Schema version of the entry envelope (the file around the result).
+ENTRY_FORMAT_VERSION = 1
 
-#: Fingerprint prefix length used in entry file names.  The full digest is
-#: stored (and verified) inside the entry, so the prefix only needs to be
-#: collision-resistant *per directory*; 24 hex chars = 96 bits.
+#: Config-fingerprint prefix length in entry file names (96 bits).
 FP_PREFIX = 24
 
-#: Workload-fingerprint prefix length in entry file names (64 bits — the
-#: full digest is verified from the payload on read).
+#: Workload-fingerprint prefix length in entry file names (64 bits).
 WLFP_PREFIX = 16
 
 _UNSAFE = re.compile(r"[^A-Za-z0-9._+-]+")
-_HEX = re.compile(r"[0-9a-f]+\Z")
+_STEM = re.compile(
+    rf"([0-9a-f]{{{FP_PREFIX}}})--[0-9a-f]{{{WLFP_PREFIX}}}--(.+)--(\d+)\Z"
+)
 
 logger = get_logger("cache")
+
+
+#: Process-wide fingerprint memo.  ``SimConfig`` is a frozen (hashable,
+#: weakref-able) dataclass, so the digest of a given config object is
+#: immutable — cache it once instead of re-serializing the full canonical
+#: JSON on every submit/store/cache touch.  Weak keys keep campaign-sized
+#: config churn from pinning dead configs in memory.
+_FINGERPRINTS: "weakref.WeakKeyDictionary[SimConfig, str]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def config_fingerprint(config: SimConfig) -> str:
+    """Stable hex digest of a configuration's canonical JSON form (memoized)."""
+    fp = _FINGERPRINTS.get(config)
+    if fp is None:
+        canonical = json.dumps(config_to_dict(config), sort_keys=True)
+        fp = hashlib.sha256(canonical.encode()).hexdigest()
+        _FINGERPRINTS[config] = fp
+    return fp
 
 
 def _safe(name: str) -> str:
     return _UNSAFE.sub("_", name) or "unnamed"
 
 
-def config_fingerprint(config: SimConfig) -> str:
-    """Re-export of the runner's memoized fingerprint (one keying scheme)."""
-    from ..runner.store import config_fingerprint as _fp
+class EntryKey(NamedTuple):
+    """The identity of one stored measurement (field names = envelope keys)."""
 
-    return _fp(config)
+    fingerprint: str            #: :func:`config_fingerprint` of the machine
+    workload_fingerprint: str   #: content digest of the workload
+    workload: str               #: display name (rides along in the stem)
+    n_instrs: int
+
+    @classmethod
+    def of(cls, config: SimConfig, workload: str, n_instrs: int) -> "EntryKey":
+        return cls(
+            config_fingerprint(config), workload_fingerprint(workload),
+            workload, n_instrs,
+        )
 
 
-def workload_fingerprint(workload: str) -> str:
-    """Re-export of the registry's workload fingerprint (one keying scheme)."""
-    from ..plugins.workloads import workload_fingerprint as _wfp
+def entry_path(directory: Path, key: EntryKey) -> Path:
+    """Where ``key``'s entry lives: ``<fp>--<wfp>--<safe name>--<n>.json``."""
+    stem = (
+        f"{key.fingerprint[:FP_PREFIX]}--"
+        f"{key.workload_fingerprint[:WLFP_PREFIX]}--"
+        f"{_safe(key.workload)}--{key.n_instrs}"
+    )
+    return directory / f"{stem}.json"
 
-    return _wfp(workload)
+
+def _parse_stem(stem: str) -> tuple[str, str, int] | None:
+    """Inverse of the :func:`entry_path` stem: ``(fp_prefix, name, n)``.
+
+    Both fingerprint prefixes have fixed lengths and ``n_instrs`` is the
+    trailing integer, so a workload whose *sanitized* name contains ``--``
+    still parses unambiguously.  Any other name (a fleet manifest, a file
+    of an earlier format) is ``None``.
+    """
+    match = _STEM.match(stem)
+    return (match[1], match[2], int(match[3])) if match else None
+
+
+def write_entry(
+    path: Path, key: EntryKey, config: SimConfig, result: RunResult
+) -> None:
+    """Durably and atomically write one entry (replacing any file there)."""
+    atomic_write_json(path, {
+        "entry_version": ENTRY_FORMAT_VERSION,
+        **key._asdict(),
+        "config": config_to_dict(config),
+        "result": result_to_dict(result),
+    })
+
+
+def read_entry(path: Path, key: EntryKey | None = None) -> dict | None:
+    """Read and validate one entry file.
+
+    Returns the envelope with ``"result"`` deserialized and ``"key"`` the
+    entry's :class:`EntryKey`; ``None`` when the file is absent or, given
+    ``key``, healthy but answering a different key (a truncated-prefix or
+    sanitized-name collision).  Raises :class:`CheckpointError` when the
+    file is unreadable or not a current-format entry.
+    """
+    try:
+        payload = json.loads(path.read_text())
+    except FileNotFoundError:
+        return None
+    except (OSError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"unreadable entry {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise CheckpointError(f"entry {path} is not an object")
+    if payload.get("entry_version") != ENTRY_FORMAT_VERSION:
+        raise CheckpointError(
+            f"entry {path} has version {payload.get('entry_version')!r}, "
+            f"expected {ENTRY_FORMAT_VERSION}"
+        )
+    for name in (*EntryKey._fields, "config"):
+        if not payload.get(name):
+            raise CheckpointError(f"entry {path} lacks {name!r}")
+    result_payload = payload.get("result")
+    if (
+        not isinstance(result_payload, dict)
+        or result_payload.get("format_version") != RESULT_FORMAT_VERSION
+    ):
+        raise CheckpointError(f"entry {path} has a bad result payload")
+    payload["key"] = EntryKey(*(payload[name] for name in EntryKey._fields))
+    if key is not None and payload["key"] != key:
+        return None
+    try:
+        payload["result"] = result_from_dict(result_payload)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"entry {path} failed to deserialize: {exc}"
+        ) from exc
+    return payload
+
+
+def quarantine(path: Path, error: Exception | None = None) -> Path | None:
+    """Move a corrupt file to ``<name>.corrupt`` (numbered on collision).
+
+    With ``error``, the move is logged as a WARNING.  A rename failure
+    returns ``None``: the caller degrades to skip-and-count instead of
+    aborting.
+    """
+    target = path.with_suffix(path.suffix + ".corrupt")
+    serial = 0
+    while target.exists():
+        serial += 1
+        target = path.with_suffix(f"{path.suffix}.corrupt.{serial}")
+    try:
+        io_backend().replace(path, target)
+    except OSError:
+        target = None
+    if error is not None:
+        log_event(
+            logger, logging.WARNING, "quarantined corrupt entry",
+            path=str(path), error=str(error),
+            moved_to=str(target) if target else None,
+        )
+    return target
 
 
 @dataclass
@@ -214,50 +338,6 @@ class ResultCache:
         self.stats = CacheStats()
         self.cache_dir.mkdir(parents=True, exist_ok=True)
 
-    # ------------------------------------------------------------- keying
-
-    def _path(self, fingerprint: str, workload: str, n_instrs: int) -> Path:
-        """Entry path: ``<config fp>--<workload fp>--<safe name>--<n>``.
-
-        The workload *fingerprint* is the identity; the sanitised display
-        name rides along purely for humans (``ls`` output, debugging), so
-        two workloads whose names sanitise identically still get distinct
-        stems.
-        """
-        wfp = workload_fingerprint(workload)[:WLFP_PREFIX]
-        stem = f"{fingerprint[:FP_PREFIX]}--{wfp}--{_safe(workload)}--{n_instrs}"
-        return self.cache_dir / f"{stem}.json"
-
-    def _legacy_path(self, fingerprint: str, workload: str, n_instrs: int) -> Path:
-        """The pre-workload-fingerprint stem (compat read path)."""
-        stem = f"{fingerprint[:FP_PREFIX]}--{_safe(workload)}--{n_instrs}"
-        return self.cache_dir / f"{stem}.json"
-
-    @staticmethod
-    def _parse_stem(stem: str) -> tuple[str, str, int] | None:
-        """Inverse of the ``_path`` stem: ``(fp_prefix, workload_display, n)``.
-
-        Handles both formats: the current one carries a fixed-length hex
-        workload-fingerprint segment after the config fingerprint; legacy
-        stems go straight to the sanitised name.  The config-fingerprint
-        prefix has a fixed length and ``n_instrs`` is the trailing integer,
-        so a workload whose *sanitized* name contains ``--`` still parses
-        unambiguously.
-        """
-        if len(stem) < FP_PREFIX + 2 or stem[FP_PREFIX:FP_PREFIX + 2] != "--":
-            return None
-        rest = stem[FP_PREFIX + 2:]
-        workload, sep, n_text = rest.rpartition("--")
-        if not sep or not n_text.isdigit():
-            return None
-        if (
-            len(workload) > WLFP_PREFIX + 2
-            and workload[WLFP_PREFIX:WLFP_PREFIX + 2] == "--"
-            and _HEX.match(workload[:WLFP_PREFIX])
-        ):
-            workload = workload[WLFP_PREFIX + 2:]
-        return stem[:FP_PREFIX], workload, int(n_text)
-
     # ------------------------------------------------------------- access
 
     def lookup(
@@ -274,22 +354,22 @@ class ResultCache:
         ``False`` lets a consumer that shares a near-enabled cache (the
         daemon's executors) stay exact-only.
         """
-        fingerprint = config_fingerprint(config)
-        exact = self._load_exact(fingerprint, workload, n_instrs)
-        if exact is not None:
-            result, path = exact
+        key = EntryKey.of(config, workload, n_instrs)
+        path = entry_path(self.cache_dir, key)
+        entry = self._load(path, key)
+        if entry is not None:
             self.stats.exact_hits += 1
             self._touch(path)
             return CacheHit(
-                result=result,
+                result=entry["result"],
                 provenance={
                     "cache_hit": True,
-                    "key": [fingerprint, workload, n_instrs],
+                    "key": [key.fingerprint, workload, n_instrs],
                 },
             )
         allow_near = self.near if near is None else near
         if allow_near:
-            hit = self._near_lookup(config, fingerprint, workload, n_instrs)
+            hit = self._near_lookup(config, key)
             if hit is not None:
                 self.stats.near_hits += 1
                 return hit
@@ -305,27 +385,9 @@ class ResultCache:
         — e.g. the daemon resolving a near-completed job's ``source_key``
         — so it deliberately does not touch the hit/miss accounting.
         """
-        exact = self._load_exact(fingerprint, workload, n_instrs)
-        return exact[0] if exact is not None else None
-
-    def _load_exact(
-        self, fingerprint: str, workload: str, n_instrs: int
-    ) -> tuple[RunResult, Path] | None:
-        """Load an exact key, falling back to the legacy name-keyed stem."""
-        path = self._path(fingerprint, workload, n_instrs)
-        result = self._load(
-            path, fingerprint=fingerprint, workload=workload, n_instrs=n_instrs,
-        )
-        if result is not None:
-            return result, path
-        legacy = self._legacy_path(fingerprint, workload, n_instrs)
-        result = self._load(
-            legacy, fingerprint=fingerprint, workload=workload,
-            n_instrs=n_instrs,
-        )
-        if result is not None:
-            return result, legacy
-        return None
+        key = self._raw_key(fingerprint, workload, n_instrs)
+        entry = self._load(entry_path(self.cache_dir, key), key)
+        return entry["result"] if entry is not None else None
 
     def put(
         self,
@@ -343,52 +405,56 @@ class ResultCache:
         Never call this with a near-hit estimate — the cache must only ever
         contain real measurements.
         """
-        fingerprint = config_fingerprint(config)
-        path = self._path(fingerprint, workload, n_instrs)
+        key = EntryKey.of(config, workload, n_instrs)
+        path = entry_path(self.cache_dir, key)
         if pin:
             self._pin_path(path).touch()
         if path.exists():
             return False
-        payload = {
-            "cache_version": CACHE_FORMAT_VERSION,
-            "fingerprint": fingerprint,
-            "workload_fingerprint": workload_fingerprint(workload),
-            "config": config_to_dict(config),
-            "workload": workload,
-            "n_instrs": n_instrs,
-            "result": result_to_dict(result),
-        }
-        atomic_write_json(path, payload)
+        write_entry(path, key, config, result)
         self.stats.puts += 1
         if self.max_bytes is not None and self.bytes() > self.max_bytes:
             self.gc()
         return True
 
+    @staticmethod
+    def _raw_key(fingerprint: str, workload: str, n_instrs: int) -> EntryKey:
+        return EntryKey(
+            fingerprint, workload_fingerprint(workload), workload, n_instrs
+        )
+
+    def _load(self, path: Path, key: EntryKey | None = None) -> dict | None:
+        """:func:`read_entry`, with corrupt files quarantined and counted."""
+        try:
+            return read_entry(path, key)
+        except CheckpointError as exc:
+            self.stats.corrupt_quarantined += 1
+            quarantine(path, exc)
+            return None
+
     # ----------------------------------------------------------- near hits
 
-    def _near_lookup(
-        self, config: SimConfig, fingerprint: str, workload: str, n_instrs: int
-    ) -> CacheHit | None:
+    def _near_lookup(self, config: SimConfig, key: EntryKey) -> CacheHit | None:
         """Same point at a lower length, else a one-knob neighbor config."""
-        lower = self._best_lower_n(fingerprint, workload, n_instrs)
+        lower = self._best_lower_n(key)
         if lower is not None:
             source_n, result = lower
             return self._near_hit(result, {
                 "near_hit": True,
                 "mode": "lower_n",
-                "source_key": [fingerprint, workload, source_n],
-                "requested_n_instrs": n_instrs,
+                "source_key": [key.fingerprint, key.workload, source_n],
+                "requested_n_instrs": key.n_instrs,
                 "source_n_instrs": source_n,
             })
-        neighbor = self._best_neighbor(config, fingerprint, workload, n_instrs)
+        neighbor = self._best_neighbor(config, key)
         if neighbor is not None:
             source_fp, param, source_value, requested_value, result = neighbor
             return self._near_hit(result, {
                 "near_hit": True,
                 "mode": "neighbor_param",
-                "source_key": [source_fp, workload, n_instrs],
-                "requested_n_instrs": n_instrs,
-                "requested_fingerprint": fingerprint,
+                "source_key": [source_fp, key.workload, key.n_instrs],
+                "requested_n_instrs": key.n_instrs,
+                "requested_fingerprint": key.fingerprint,
                 "param": param,
                 "source_value": source_value,
                 "requested_value": requested_value,
@@ -403,62 +469,43 @@ class ResultCache:
         serialization (figures, ``--json``, checkpoints a consumer
         mistakenly writes) can always be told apart from exact data.
         """
-        import dataclasses
-
         telemetry = dict(result.telemetry or {})
         telemetry["cache"] = dict(provenance)
-        stamped = dataclasses.replace(result, telemetry=telemetry)
+        stamped = replace(result, telemetry=telemetry)
         return CacheHit(result=stamped, provenance=provenance)
 
-    def _best_lower_n(
-        self, fingerprint: str, workload: str, n_instrs: int
-    ) -> tuple[int, RunResult] | None:
-        """The longest stored run of this exact point below ``n_instrs``.
-
-        Only fingerprint-keyed (current-format) entries participate:
-        the workload-fingerprint segment in the glob excludes legacy
-        name-keyed stems from near matching by construction.
-        """
-        wfp = workload_fingerprint(workload)[:WLFP_PREFIX]
-        pattern = f"{fingerprint[:FP_PREFIX]}--{wfp}--{_safe(workload)}--*.json"
+    def _best_lower_n(self, key: EntryKey) -> tuple[int, RunResult] | None:
+        """The longest stored run of this exact point below ``n_instrs``."""
+        pattern = entry_path(self.cache_dir, key._replace(n_instrs="*")).name
         candidates = []
         for path in self.cache_dir.glob(pattern):
-            parsed = self._parse_stem(path.stem)
-            if parsed is None:
-                continue
-            _, _, entry_n = parsed
-            if entry_n < n_instrs:
-                candidates.append((entry_n, path))
-        for entry_n, path in sorted(candidates, reverse=True):
-            result = self._load(
-                path, fingerprint=fingerprint, workload=workload,
-                n_instrs=entry_n,
-            )
-            if result is not None:
-                return entry_n, result
+            parsed = _parse_stem(path.stem)
+            if parsed is not None and parsed[2] < key.n_instrs:
+                candidates.append(parsed[2])
+        for entry_n in sorted(candidates, reverse=True):
+            lower = key._replace(n_instrs=entry_n)
+            entry = self._load(entry_path(self.cache_dir, lower), lower)
+            if entry is not None:
+                return entry_n, entry["result"]
         return None
 
     def _best_neighbor(
-        self, config: SimConfig, fingerprint: str, workload: str, n_instrs: int
+        self, config: SimConfig, key: EntryKey
     ) -> tuple[str, str, object, object, RunResult] | None:
         """A stored run at the same ``(workload, n)`` one numeric knob away.
 
         The workload-fingerprint segment is shared across configs (same
-        workload → same fingerprint), so it anchors the glob and keeps
-        legacy name-keyed entries out of near matching.
+        workload → same fingerprint), so it anchors the glob.
         """
         requested = config_to_dict(config)
-        wfp = workload_fingerprint(workload)[:WLFP_PREFIX]
-        pattern = f"*--{wfp}--{_safe(workload)}--{n_instrs}.json"
+        pattern = entry_path(self.cache_dir, key._replace(fingerprint="*")).name
         best = None
         for path in sorted(self.cache_dir.glob(pattern)):
-            parsed = self._parse_stem(path.stem)
-            if parsed is None or parsed[0] == fingerprint[:FP_PREFIX]:
+            parsed = _parse_stem(path.stem)
+            if parsed is None or parsed[0] == key.fingerprint[:FP_PREFIX]:
                 continue
-            entry = self._load_entry(path)
-            if entry is None:
-                continue
-            if entry["workload"] != workload or entry["n_instrs"] != n_instrs:
+            entry = self._load(path)
+            if entry is None or entry["key"][1:] != key[1:]:
                 continue  # sanitized-name collision: a different real point
             diff = neighbor_param(requested, entry["config"])
             if diff is None:
@@ -468,96 +515,7 @@ class ResultCache:
             if best is None or distance < best[0]:
                 best = (distance, entry["fingerprint"], param,
                         source_value, requested_value, entry["result"])
-        if best is None:
-            return None
-        _, source_fp, param, source_value, requested_value, result = best
-        return source_fp, param, source_value, requested_value, result
-
-    # ----------------------------------------------------------- entry I/O
-
-    def _load(
-        self, path: Path, *, fingerprint: str, workload: str, n_instrs: int
-    ) -> RunResult | None:
-        """Read + validate one entry; corrupt files are quarantined."""
-        entry = self._load_entry(path)
-        if entry is None:
-            return None
-        if (
-            entry["fingerprint"] != fingerprint
-            or entry["workload"] != workload
-            or entry["n_instrs"] != n_instrs
-        ):
-            # A truncated-prefix or sanitized-name collision: the file is
-            # healthy, it just answers a different key.
-            return None
-        if entry.get("workload_fingerprint") not in (
-            None, workload_fingerprint(workload)
-        ):
-            # Same display name, different content (e.g. a re-registered
-            # out-of-tree workload): never alias it to this key.
-            return None
-        return entry["result"]
-
-    def _load_entry(self, path: Path) -> dict | None:
-        """Parse one entry file into plain fields (``None`` if absent/bad)."""
-        if not path.exists():
-            return None
-        try:
-            return self._read_entry(path)
-        except CheckpointError as exc:
-            self.stats.corrupt_quarantined += 1
-            moved_to = self._quarantine(path)
-            log_event(
-                logger, logging.WARNING, "quarantined corrupt cache entry",
-                path=str(path), error=str(exc),
-                moved_to=str(moved_to) if moved_to else None,
-            )
-            return None
-
-    @staticmethod
-    def _read_entry(path: Path) -> dict:
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"unreadable cache entry {path}: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise CheckpointError(f"cache entry {path} is not an object")
-        if payload.get("cache_version") != CACHE_FORMAT_VERSION:
-            raise CheckpointError(
-                f"cache entry {path} has version "
-                f"{payload.get('cache_version')!r}, expected "
-                f"{CACHE_FORMAT_VERSION}"
-            )
-        for field_name in ("fingerprint", "workload", "n_instrs", "config"):
-            if field_name not in payload:
-                raise CheckpointError(f"cache entry {path} lacks {field_name!r}")
-        result_payload = payload.get("result")
-        if (
-            not isinstance(result_payload, dict)
-            or result_payload.get("format_version") != RESULT_FORMAT_VERSION
-        ):
-            raise CheckpointError(f"cache entry {path} has a bad result payload")
-        try:
-            payload["result"] = result_from_dict(result_payload)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"cache entry {path} failed to deserialize: {exc}"
-            ) from exc
-        return payload
-
-    def _quarantine(self, path: Path) -> Path | None:
-        """Rename a corrupt entry to ``*.corrupt`` (numbered on collision),
-        exactly like the checkpoint store's quarantine."""
-        target = path.with_suffix(path.suffix + ".corrupt")
-        serial = 0
-        while target.exists():
-            serial += 1
-            target = path.with_suffix(f"{path.suffix}.corrupt.{serial}")
-        try:
-            io_backend().replace(path, target)
-        except OSError:
-            return None
-        return target
+        return best[1:] if best is not None else None
 
     @staticmethod
     def _touch(path: Path) -> None:
@@ -575,22 +533,18 @@ class ResultCache:
 
     def pin(self, fingerprint: str, workload: str, n_instrs: int) -> bool:
         """Protect one entry from eviction (golden baselines and the like)."""
-        path = self._path(fingerprint, workload, n_instrs)
+        key = self._raw_key(fingerprint, workload, n_instrs)
+        path = entry_path(self.cache_dir, key)
         if not path.exists():
-            path = self._legacy_path(fingerprint, workload, n_instrs)
-            if not path.exists():
-                return False
+            return False
         self._pin_path(path).touch()
         return True
 
     def unpin(self, fingerprint: str, workload: str, n_instrs: int) -> bool:
-        pin = self._pin_path(self._path(fingerprint, workload, n_instrs))
+        key = self._raw_key(fingerprint, workload, n_instrs)
+        pin = self._pin_path(entry_path(self.cache_dir, key))
         if not pin.exists():
-            pin = self._pin_path(
-                self._legacy_path(fingerprint, workload, n_instrs)
-            )
-            if not pin.exists():
-                return False
+            return False
         pin.unlink()
         return True
 
@@ -600,7 +554,7 @@ class ResultCache:
         """Metadata rows for every parseable entry (oldest first)."""
         rows = []
         for path in self.cache_dir.glob("*.json"):
-            parsed = self._parse_stem(path.stem)
+            parsed = _parse_stem(path.stem)
             if parsed is None:
                 continue
             fp_prefix, workload, n_instrs = parsed

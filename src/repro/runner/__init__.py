@@ -9,7 +9,8 @@ a process-local runner with a memory-only store (exactly the old
 :func:`use_runner` for the duration of a campaign.
 
 See :mod:`repro.runner.runner` for the execution semantics,
-:mod:`repro.runner.store` for the checkpoint format,
+:mod:`repro.runner.store` for checkpoint/resume (the entry format itself
+lives in :mod:`repro.cache.result_cache`),
 :mod:`repro.runner.fleet` for the process-isolated parallel executor
 (``--jobs N``) and :mod:`repro.runner.faultinject` for the testing harness.
 """

@@ -58,12 +58,13 @@ from ..errors import (
 )
 from ..ioutil import atomic_write_json
 from ..obs import get_logger, log_event
+from ..plugins.workloads import workload_fingerprint
 from ..sim.config import SimConfig
 from ..sim.metrics import RunResult
 from ..sim.serialization import config_to_dict, result_from_dict
 from .faultinject import FaultInjector
 from .runner import ExperimentRunner, FailureRecord
-from .store import ResultStore, workload_fingerprint
+from .store import ResultStore
 from .worker import HEARTBEAT_INTERVAL_S, worker_main
 
 #: Resume-manifest schema version and file name (under the checkpoint dir).

@@ -1,89 +1,36 @@
-"""Disk-backed result store: the runner's checkpoint/resume substrate.
+"""The runner's checkpoint/resume store: a per-campaign view of result entries.
 
-Results are keyed by ``(config fingerprint, workload fingerprint,
-n_instrs)``.  The config fingerprint is a SHA-256 over the *canonical
-serialized configuration* (:func:`repro.sim.serialization.config_to_dict`);
-the workload fingerprint (:func:`repro.plugins.workloads
-.workload_fingerprint`) hashes what the workload *is* — kernel + parameters
-for synthetic specs, trace-file content for ingested traces, the member
-tuple for a mix — so a re-registered or out-of-tree workload under a reused
-name can never alias another workload's checkpoint.  Names are display-only:
-they appear in file stems for humans, never as identity.
+A :class:`ResultStore` is an in-memory map of completed runs, optionally
+backed by a checkpoint directory.  The directory holds one entry per run in
+the shared entry format of :mod:`repro.cache.result_cache` — the same key
+(``(config fingerprint, workload fingerprint, workload, n_instrs)``), file
+name, envelope, validator and ``*.corrupt`` quarantine as the
+cross-campaign result cache, so ``python -m repro.cache ls DIR`` lists a
+campaign's checkpoints too.  This module adds only the campaign policy:
 
-Compatibility: checkpoints written before workload fingerprints existed used
-a name-keyed stem; :meth:`ResultStore.get` falls back to that legacy stem
-(validating the payload's workload name) so old checkpoint dirs keep
-resuming.
-
-Layout: one JSON file per completed run under ``checkpoint_dir``, written
-durably and atomically (:func:`repro.ioutil.atomic_write_json`: fsync'd
-temp file + ``os.replace`` + directory fsync) so a crash at any instant —
-including right after the rename — never leaves a half checkpoint that a
-later ``--resume`` would trip over.  Unreadable or
-wrong-schema files found while resuming are *quarantined* (renamed to
-``*.corrupt`` with a WARNING) and counted, never fatal — a corrupt
-checkpoint costs one re-simulation, not the campaign, and subsequent
-resumes don't re-parse the same broken file.
+* entries are written durably and atomically on every :meth:`put` (a
+  corrupt file at the path is replaced), so when ``put`` returns a valid
+  entry for the key is on disk — the daemon journals ``done`` on this;
+* with ``resume=True`` earlier entries are served from disk; an unreadable
+  or earlier-format file is quarantined and counted, never fatal — a
+  corrupt checkpoint costs one re-simulation, not the campaign.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import logging
-import re
-import weakref
 from pathlib import Path
 
+from ..cache.result_cache import (
+    EntryKey,
+    config_fingerprint,
+    entry_path,
+    quarantine,
+    read_entry,
+    write_entry,
+)
 from ..errors import CheckpointError
-from ..ioutil import atomic_write_json, io_backend
-from ..obs import get_logger, log_event
 from ..sim.config import SimConfig
 from ..sim.metrics import RunResult
-from ..sim.serialization import (
-    RESULT_FORMAT_VERSION,
-    config_to_dict,
-    result_from_dict,
-    result_to_dict,
-)
-
-#: Schema version of the checkpoint envelope (the file around the result).
-CHECKPOINT_FORMAT_VERSION = 1
-
-_UNSAFE = re.compile(r"[^A-Za-z0-9._+-]+")
-
-logger = get_logger("runner.store")
-
-
-#: Process-wide fingerprint memo.  ``SimConfig`` is a frozen (hashable,
-#: weakref-able) dataclass, so the digest of a given config object is
-#: immutable — cache it once instead of re-serializing the full canonical
-#: JSON on every submit/store/cache touch.  Weak keys keep campaign-sized
-#: config churn from pinning dead configs in memory.
-_FINGERPRINTS: "weakref.WeakKeyDictionary[SimConfig, str]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def config_fingerprint(config: SimConfig) -> str:
-    """Stable hex digest of a configuration's canonical JSON form (memoized)."""
-    fp = _FINGERPRINTS.get(config)
-    if fp is None:
-        canonical = json.dumps(config_to_dict(config), sort_keys=True)
-        fp = hashlib.sha256(canonical.encode()).hexdigest()
-        _FINGERPRINTS[config] = fp
-    return fp
-
-
-def _safe(name: str) -> str:
-    return _UNSAFE.sub("_", name) or "unnamed"
-
-
-def workload_fingerprint(workload: str) -> str:
-    """Content digest of a workload reference (one keying scheme repo-wide)."""
-    from ..plugins.workloads import workload_fingerprint as _wfp
-
-    return _wfp(workload)
 
 
 class ResultStore:
@@ -106,7 +53,7 @@ class ResultStore:
     ) -> None:
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
         self.resume = resume
-        self._memory: dict[tuple[str, str, int], RunResult] = {}
+        self._memory: dict[EntryKey, RunResult] = {}
         #: Corrupt/wrong-schema checkpoint files skipped during reads.
         self.corrupt_skipped = 0
         #: Where each corrupt checkpoint was moved (``*.corrupt`` files).
@@ -114,154 +61,49 @@ class ResultStore:
         if self.checkpoint_dir is not None:
             self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
 
-    # ------------------------------------------------------------- keying
-
     def fingerprint(self, config: SimConfig) -> str:
         """The (process-wide memoized) :func:`config_fingerprint`."""
         return config_fingerprint(config)
-
-    def _key(self, config: SimConfig, workload: str, n_instrs: int):
-        return (self.fingerprint(config), workload_fingerprint(workload), n_instrs)
-
-    def _path(self, config: SimConfig, workload: str, n_instrs: int) -> Path:
-        assert self.checkpoint_dir is not None
-        fp = self.fingerprint(config)
-        wfp = workload_fingerprint(workload)
-        stem = (
-            f"{_safe(config.name)}--{_safe(workload)}--{n_instrs}"
-            f"--{fp[:12]}--{wfp[:12]}"
-        )
-        return self.checkpoint_dir / f"{stem}.json"
-
-    def _legacy_path(self, config: SimConfig, workload: str, n_instrs: int) -> Path:
-        """The pre-workload-fingerprint stem (compat read path)."""
-        assert self.checkpoint_dir is not None
-        fp = self.fingerprint(config)
-        stem = f"{_safe(config.name)}--{_safe(workload)}--{n_instrs}--{fp[:12]}"
-        return self.checkpoint_dir / f"{stem}.json"
-
-    # ------------------------------------------------------------- access
 
     def get(
         self, config: SimConfig, workload: str, n_instrs: int
     ) -> RunResult | None:
         """Return a stored result, or ``None`` when the run must execute."""
-        key = self._key(config, workload, n_instrs)
+        key = EntryKey.of(config, workload, n_instrs)
         hit = self._memory.get(key)
         if hit is not None:
             return hit
         if self.checkpoint_dir is None or not self.resume:
             return None
-        path = self._path(config, workload, n_instrs)
-        expected_workload: str | None = None
-        if not path.exists():
-            # Compat: checkpoints written before workload fingerprints used
-            # a name-keyed stem.  The payload's workload name is validated
-            # (the legacy stem's known sanitisation-collision hazard), and
-            # only files without a recorded workload fingerprint qualify —
-            # one recorded under a *different* fingerprint belongs to a
-            # different workload that merely shares the display name.
-            path = self._legacy_path(config, workload, n_instrs)
-            expected_workload = workload
-            if not path.exists():
-                return None
+        path = entry_path(self.checkpoint_dir, key)
         try:
-            result = self._read_checkpoint(path, expected_fingerprint=key[0])
-            if expected_workload is not None:
-                payload = json.loads(path.read_text())
-                if payload.get("workload") != expected_workload or (
-                    payload.get("workload_fingerprint") not in (None, key[1])
-                ):
-                    return None
-        except (CheckpointError, OSError, json.JSONDecodeError) as exc:
+            entry = read_entry(path, key)
+        except CheckpointError as exc:
             self.corrupt_skipped += 1
-            moved_to = self._quarantine(path)
-            log_event(
-                logger, logging.WARNING, "quarantined corrupt checkpoint",
-                path=str(path), error=str(exc),
-                moved_to=str(moved_to) if moved_to else None,
-            )
+            moved_to = quarantine(path, exc)
+            if moved_to is not None:
+                self.quarantined.append(moved_to)
             return None
-        self._memory[key] = result
-        return result
+        if entry is None:
+            return None
+        self._memory[key] = entry["result"]
+        return entry["result"]
 
     def put(
         self, config: SimConfig, workload: str, n_instrs: int, result: RunResult
     ) -> None:
-        """Record one completed run (and checkpoint it if configured)."""
-        key = self._key(config, workload, n_instrs)
-        if self.checkpoint_dir is None:
-            self._memory[key] = result
-            return
-        payload = {
-            "checkpoint_version": CHECKPOINT_FORMAT_VERSION,
-            "fingerprint": key[0],
-            "workload_fingerprint": key[1],
-            "config": config_to_dict(config),
-            "workload": workload,
-            "n_instrs": n_instrs,
-            "result": result_to_dict(result),
-        }
-        # Durable atomic write: fsync'd temp + rename + directory fsync, so
-        # a crash right after the replace cannot leave a truncated
-        # checkpoint for a later --resume to quarantine.  The memory cache
-        # is populated only *after* the write lands: a checkpoint that hit
-        # ENOSPC/EIO must not leave a phantom cache entry that would let a
-        # retry skip the re-write and ack a result with no durable copy.
-        atomic_write_json(self._path(config, workload, n_instrs), payload)
-        self._memory[key] = result
+        """Record one completed run (and checkpoint it if configured).
 
-    def _quarantine(self, path: Path) -> Path | None:
-        """Move a corrupt checkpoint aside so no later resume re-parses it.
-
-        The file is renamed to ``<name>.corrupt`` (numbered on collision);
-        the re-simulated result is then checkpointed under the original
-        name.  A rename failure degrades to the old skip-and-count
-        behaviour rather than aborting the resume.
+        The memory map is populated only *after* the checkpoint lands: a
+        write that hit ENOSPC/EIO must not leave a phantom entry that would
+        let a retry skip the re-write and ack a result with no durable copy.
         """
-        target = path.with_suffix(path.suffix + ".corrupt")
-        serial = 0
-        while target.exists():
-            serial += 1
-            target = path.with_suffix(f"{path.suffix}.corrupt.{serial}")
-        try:
-            io_backend().replace(path, target)
-        except OSError:
-            return None
-        self.quarantined.append(target)
-        return target
-
-    def _read_checkpoint(self, path: Path, expected_fingerprint: str) -> RunResult:
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise CheckpointError(f"checkpoint {path} is not an object")
-        if payload.get("checkpoint_version") != CHECKPOINT_FORMAT_VERSION:
-            raise CheckpointError(
-                f"checkpoint {path} has version "
-                f"{payload.get('checkpoint_version')!r}, expected "
-                f"{CHECKPOINT_FORMAT_VERSION}"
+        key = EntryKey.of(config, workload, n_instrs)
+        if self.checkpoint_dir is not None:
+            write_entry(
+                entry_path(self.checkpoint_dir, key), key, config, result
             )
-        if payload.get("fingerprint") != expected_fingerprint:
-            raise CheckpointError(
-                f"checkpoint {path} fingerprint mismatch (stale file name?)"
-            )
-        result_payload = payload.get("result")
-        if (
-            not isinstance(result_payload, dict)
-            or result_payload.get("format_version") != RESULT_FORMAT_VERSION
-        ):
-            raise CheckpointError(f"checkpoint {path} has a bad result payload")
-        try:
-            return result_from_dict(result_payload)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"checkpoint {path} failed to deserialize: {exc}"
-            ) from exc
-
-    # ------------------------------------------------------------- admin
+        self._memory[key] = result
 
     def __len__(self) -> int:
         return len(self._memory)

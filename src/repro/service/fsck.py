@@ -14,9 +14,9 @@ dumps — against the service's invariants:
 * **Journal integrity** — every record decodes (CRC + length + JSON) and
   replays to a valid state transition; a torn *tail* is expected crash
   debris, anything else is corruption.
-* **Store hygiene** — checkpoint files parse, carry the right schema
-  version, and match the fingerprint their name claims; no stray
-  ``*.tmp`` residue from interrupted atomic writes.
+* **Store hygiene** — checkpoint files are valid current-format entries
+  (:func:`repro.cache.result_cache.read_entry`) named for the key they
+  hold; no stray ``*.tmp`` residue from interrupted atomic writes.
 
 Check mode is strictly **read-only** (it uses
 :func:`repro.service.journal.scan_journal` and
@@ -45,7 +45,8 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..runner.store import ResultStore, _safe
+from ..cache.result_cache import EntryKey, entry_path, quarantine, read_entry
+from ..errors import CheckpointError
 from .journal import Journal, scan_journal
 from .queue import CANCELLED, DONE, FAILED, LEASED, PENDING, Job, replay_state
 
@@ -109,21 +110,38 @@ class FsckReport:
         }
 
 
-def _checkpoint_path(checkpoint_dir: Path, job: Job) -> Path:
-    """The store path a job's checkpoint must live at (mirrors
-    :meth:`ResultStore._path`, keyed from journal fields alone).
-
-    Jobs journaled with a workload fingerprint use the current
-    fingerprint-suffixed stem; legacy jobs (empty fingerprint field) use
-    the old name-keyed stem.
-    """
-    stem = (
-        f"{_safe(job.config_name)}--{_safe(job.workload)}"
-        f"--{job.n_instrs}--{job.fingerprint[:12]}"
+def _done_checkpoint_problem(
+    checkpoint_dir: Path, job: Job
+) -> tuple[str, str, Path] | None:
+    """``(code, message, path)`` when a done job's checkpoint — keyed from
+    journal fields alone — cannot serve its acked result, else ``None``."""
+    key = EntryKey(
+        job.fingerprint, job.workload_fingerprint, job.workload, job.n_instrs
     )
-    if job.workload_fingerprint:
-        stem += f"--{job.workload_fingerprint[:12]}"
-    return checkpoint_dir / f"{stem}.json"
+    path = entry_path(checkpoint_dir, key)
+    try:
+        entry = read_entry(path, key)
+    except CheckpointError as exc:
+        return (
+            "done-corrupt-checkpoint",
+            f"job {job.job_id}'s checkpoint fails validation: {exc}",
+            path,
+        )
+    if entry is not None:
+        return None
+    if path.exists():
+        return (
+            "done-corrupt-checkpoint",
+            f"job {job.job_id}'s checkpoint answers a different key",
+            path,
+        )
+    return (
+        "done-no-checkpoint",
+        f"job {job.job_id} is journal-done but its checkpoint is missing — "
+        f"an acknowledged result would 503; --repair demotes it to pending "
+        f"(the deterministic re-run restores the identical payload)",
+        path,
+    )
 
 
 def _daemon_pid(state_dir: Path) -> int | None:
@@ -236,7 +254,6 @@ def check_state_dir(state_dir: str | Path) -> FsckReport:
             )
 
     # --- WAL <-> checkpoint store ----------------------------------------
-    store = ResultStore(checkpoint_dir, resume=True)
     done_checked = 0
     for job in jobs.values():
         if job.state != DONE:
@@ -247,25 +264,9 @@ def check_state_dir(state_dir: str | Path) -> FsckReport:
             # payload is served from the result cache's *source* entry
             # (the provenance names it), never from this job's store key.
             continue
-        path = _checkpoint_path(checkpoint_dir, job)
-        if not path.exists():
-            report.add(
-                "error", "done-no-checkpoint",
-                f"job {job.job_id} is journal-done but its checkpoint is "
-                f"missing — an acknowledged result would 503; --repair "
-                f"demotes it to pending (the deterministic re-run restores "
-                f"the identical payload)",
-                path,
-            )
-            continue
-        try:
-            store._read_checkpoint(path, expected_fingerprint=job.fingerprint)
-        except Exception as exc:
-            report.add(
-                "error", "done-corrupt-checkpoint",
-                f"job {job.job_id}'s checkpoint fails validation: {exc}",
-                path,
-            )
+        problem = _done_checkpoint_problem(checkpoint_dir, job)
+        if problem is not None:
+            report.add("error", *problem)
     report.checked["done_jobs"] = done_checked
 
     # --- store hygiene ----------------------------------------------------
@@ -286,21 +287,19 @@ def check_state_dir(state_dir: str | Path) -> FsckReport:
                 continue
             swept += 1
             try:
-                payload = json.loads(path.read_text())
-                fp = payload["fingerprint"]
-                store._read_checkpoint(path, expected_fingerprint=fp)
-            except Exception as exc:
+                entry = read_entry(path)
+            except CheckpointError as exc:
                 report.add(
                     "error", "checkpoint-corrupt",
                     f"checkpoint fails validation: {exc}",
                     path,
                 )
                 continue
-            if fp[:12] not in path.name:
+            if entry_path(checkpoint_dir, entry["key"]) != path:
                 report.add(
                     "warning", "checkpoint-misnamed",
-                    f"file name does not carry its own fingerprint "
-                    f"{fp[:12]} (renamed by hand?)",
+                    "file name does not match the key stored inside it "
+                    "(renamed by hand?)",
                     path,
                 )
     report.checked["checkpoints"] = swept
@@ -373,35 +372,25 @@ def repair_state_dir(state_dir: str | Path) -> FsckReport:
                 f"dropped {len(replay_errors)} journal record(s) that did "
                 f"not replay"
             )
-        store = ResultStore(checkpoint_dir, resume=True)
         for job in jobs.values():
             if job.state == LEASED:
                 job.state = PENDING
                 job.lease_owner = None
                 job.lease_expires_at = None
                 repairs.append(f"reclaimed orphan lease on {job.job_id}")
-            elif job.state == DONE:
-                path = _checkpoint_path(checkpoint_dir, job)
-                valid = False
-                if path.exists():
-                    try:
-                        store._read_checkpoint(
-                            path, expected_fingerprint=job.fingerprint
-                        )
-                        valid = True
-                    except Exception:
-                        valid = False
-                if not valid:
-                    job.state = PENDING
-                    job.summary = None
-                    job.finished_at = None
-                    job.lease_owner = None
-                    job.lease_expires_at = None
-                    repairs.append(
-                        f"demoted {job.job_id} to pending (checkpoint "
-                        f"missing/corrupt; deterministic re-run restores "
-                        f"the identical payload)"
-                    )
+            elif job.state == DONE and _done_checkpoint_problem(
+                checkpoint_dir, job
+            ) is not None:
+                job.state = PENDING
+                job.summary = None
+                job.finished_at = None
+                job.lease_owner = None
+                job.lease_expires_at = None
+                repairs.append(
+                    f"demoted {job.job_id} to pending (checkpoint "
+                    f"missing/corrupt; deterministic re-run restores "
+                    f"the identical payload)"
+                )
         payloads = [
             {"op": "job", "job": job.to_dict()}
             for job in sorted(jobs.values(), key=lambda j: j.seq)
@@ -417,9 +406,9 @@ def repair_state_dir(state_dir: str | Path) -> FsckReport:
             f"rewrote journal: {len(payloads)} compacted record(s)"
         )
 
-    # 2. Store: quarantine corrupt checkpoints, delete tmp residue.
+    # 2. Store: delete tmp residue, collect corrupt checkpoints.
+    corrupt: list[Path] = []
     if checkpoint_dir.is_dir():
-        store = ResultStore(checkpoint_dir, resume=True)
         for path in sorted(checkpoint_dir.iterdir()):
             if path.name.endswith(".tmp"):
                 path.unlink(missing_ok=True)
@@ -428,16 +417,11 @@ def repair_state_dir(state_dir: str | Path) -> FsckReport:
             if ".corrupt" in path.name or path.suffix != ".json":
                 continue
             try:
-                payload = json.loads(path.read_text())
-                store._read_checkpoint(
-                    path, expected_fingerprint=payload["fingerprint"]
-                )
-            except Exception:
-                target = _quarantine_name(path)
-                os.replace(path, target)
-                repairs.append(f"quarantined {path.name} -> {target.name}")
+                read_entry(path)
+            except CheckpointError:
+                corrupt.append(path)
 
-    # 3. Flight dumps: quarantine unparsable ones.
+    # 3. Flight dumps: collect unparsable ones.
     for path in sorted(state_dir.glob("flightrec-*.jsonl")):
         if ".corrupt" in path.name:
             continue
@@ -446,22 +430,19 @@ def repair_state_dir(state_dir: str | Path) -> FsckReport:
                 if line.strip():
                     json.loads(line)
         except (OSError, json.JSONDecodeError):
-            target = _quarantine_name(path)
-            os.replace(path, target)
-            repairs.append(f"quarantined {path.name} -> {target.name}")
+            corrupt.append(path)
+
+    # 4. Quarantine everything collected (renamed ``*.corrupt``).
+    for path in corrupt:
+        target = quarantine(path)
+        repairs.append(
+            f"quarantined {path.name} -> {target.name}" if target
+            else f"could not quarantine {path.name}"
+        )
 
     report = check_state_dir(state_dir)
     report.repairs = repairs
     return report
-
-
-def _quarantine_name(path: Path) -> Path:
-    target = path.with_suffix(path.suffix + ".corrupt")
-    serial = 0
-    while target.exists():
-        serial += 1
-        target = path.with_suffix(f"{path.suffix}.corrupt.{serial}")
-    return target
 
 
 # ----------------------------------------------------------------------- CLI

@@ -107,6 +107,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-service/1"
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY: headers and body are two writes, and on a kept-alive
+    #: connection Nagle would hold the body for the client's delayed ACK.
+    disable_nagle_algorithm = True
     service: CampaignService  # injected by make_server's subclass
     request_id: str = ""
 

@@ -21,10 +21,10 @@ looping forever.
 
 Robustness behaviours layered on the state machine:
 
-* **Idempotent dedup** — submissions are keyed by
-  ``(config_fingerprint, workload, requested n_instrs)``; re-submitting an
-  active or completed job returns the existing one, so client retries and
-  replayed submissions never double-run or double-count a measurement.
+* **Idempotent dedup** — submissions are keyed by ``(config_fingerprint,
+  workload_fingerprint, requested n_instrs)``; re-submitting an active or
+  completed job returns the existing one, so client retries and replayed
+  submissions never double-run or double-count a measurement.
   The key uses the length the caller *asked for*, not the one shedding
   clamped to — and a full-length submission never dedups against a
   degraded quick estimate, so clamped results can only ever be served to
@@ -94,10 +94,9 @@ class Job:
     workload: str
     n_instrs: int
     #: Content digest of the workload (see ``repro.plugins.workloads``):
-    #: the identity half of the dedup key.  Defaulted so journals written
-    #: before workload fingerprints existed still replay; such jobs fall
-    #: back to name-keyed dedup.
-    workload_fingerprint: str = ""
+    #: the identity half of the dedup key.  Required: a journal record
+    #: without it fails replay (reported in ``replay_state`` errors).
+    workload_fingerprint: str
     priority: int = PRIORITIES["normal"]
     submitter: str = "anonymous"
     #: End-to-end correlation id: assigned at the API boundary (from the
@@ -130,6 +129,10 @@ class Job:
     #: Per-attempt error context accumulated across requeues.
     attempt_errors: list[str] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        if not self.workload_fingerprint:
+            raise ValueError(f"job {self.job_id} has no workload_fingerprint")
+
     @property
     def key(self) -> tuple[str, str, int]:
         """Dedup key: the length the caller *requested*, not the clamped one.
@@ -138,14 +141,12 @@ class Job:
         ``requested_n_instrs`` — so a quick-mode submission at the clamped
         length never collides with it, and a later full-length submission
         of the same point finds it (and, per :meth:`JobQueue.submit`, runs
-        fresh instead of accepting the estimate).
-
-        The workload half is the *fingerprint* (content identity) when the
-        job has one; legacy journal entries without it key by display name.
+        fresh instead of accepting the estimate).  The workload half is the
+        *fingerprint* (content identity), never the display name.
         """
         return (
             self.fingerprint,
-            self.workload_fingerprint or self.workload,
+            self.workload_fingerprint,
             self.requested_n_instrs or self.n_instrs,
         )
 
@@ -477,7 +478,7 @@ class JobQueue:
         submitter: str = "anonymous",
         trace_id: str = "",
         inject_fault: str | None = None,
-        workload_fingerprint: str = "",
+        workload_fingerprint: str,
     ) -> tuple[Job, bool]:
         """Admit one submission; returns ``(job, deduped)``.
 
@@ -520,11 +521,7 @@ class JobQueue:
             # degraded and anything-against-full still dedup: those
             # responses carry honest provenance.
             existing_id = self._by_key.get(
-                (
-                    fingerprint,
-                    workload_fingerprint or workload,
-                    requested or n_instrs,
-                )
+                (fingerprint, workload_fingerprint, requested or n_instrs)
             )
             if existing_id is not None:
                 existing = self._jobs[existing_id]

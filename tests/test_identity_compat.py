@@ -1,10 +1,11 @@
-"""Fingerprint-keyed stores: MP results, collisions, and legacy compat.
+"""Fingerprint-keyed stores: MP results, collisions, one entry format.
 
-The identity refactor keys checkpoints, cache entries and service dedup by
-``workload_fingerprint`` instead of display name.  These tests pin the
-three load-bearing consequences: multi-programmed results round-trip like
-any ``RunResult``, sanitisation collisions can no longer alias entries,
-and pre-fingerprint (name-keyed) files still serve exact hits.
+Checkpoints, cache entries and service dedup are keyed by
+``workload_fingerprint`` instead of display name, and checkpoints and cache
+entries share one on-disk format.  These tests pin the load-bearing
+consequences: multi-programmed results round-trip like any ``RunResult``,
+sanitisation collisions can no longer alias entries, a checkpoint dir is
+listable with the cache CLI, and files of an earlier format are misses.
 """
 
 import json
@@ -12,6 +13,9 @@ import json
 import pytest
 
 from repro.cache import ResultCache
+from repro.cache.cli import main as cache_main
+from repro.plugins.workloads import workload_fingerprint
+from repro.runner import ExperimentRunner
 from repro.runner.store import ResultStore, config_fingerprint
 from repro.service.queue import Job
 from repro.sim.config import skylake_server
@@ -106,59 +110,79 @@ class TestSanitisationCollision:
             assert hit.result.instructions == 100 + i
 
 
-class TestLegacyCompat:
-    def test_store_reads_legacy_stem(self, tmp_path):
-        config = skylake_server()
-        store = ResultStore(tmp_path, resume=True)
-        res = _st_result("tpcc_like")
-        store.put(config, "tpcc_like", 500, res)
-        new_path = store._path(config, "tpcc_like", 500)
-        legacy_path = store._legacy_path(config, "tpcc_like", 500)
-        new_path.rename(legacy_path)
-        fresh = ResultStore(tmp_path, resume=True)
-        assert fresh.get(config, "tpcc_like", 500) == res
+class TestOneEntryFormat:
+    def test_cache_ls_lists_runner_checkpoints(self, tmp_path, capsys):
+        runner = ExperimentRunner(store=ResultStore(tmp_path))
+        runner.run(skylake_server(), "hmmer_like", 1500)
+        runner.run(skylake_server(), "hmmer_like+mcf_like", 800)
+        assert cache_main(["ls", str(tmp_path), "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert sorted((r["workload"], r["n_instrs"]) for r in rows) == [
+            ("hmmer_like", 1500), ("hmmer_like+mcf_like", 800),
+        ]
+        fp = config_fingerprint(skylake_server())
+        assert {r["fingerprint_prefix"] for r in rows} == {fp[:24]}
 
-    def test_store_legacy_rejects_foreign_fingerprint(self, tmp_path):
-        # A legacy-stem file recorded under a *different* workload
-        # fingerprint belongs to a different workload that shares the name.
+    def test_store_checkpoint_is_a_cache_hit(self, tmp_path):
         config = skylake_server()
-        store = ResultStore(tmp_path, resume=True)
-        store.put(config, "tpcc_like", 500, _st_result("tpcc_like"))
-        new_path = store._path(config, "tpcc_like", 500)
-        legacy_path = store._legacy_path(config, "tpcc_like", 500)
-        payload = json.loads(new_path.read_text())
-        payload["workload_fingerprint"] = "f" * 64
-        legacy_path.write_text(json.dumps(payload))
-        new_path.unlink()
-        fresh = ResultStore(tmp_path, resume=True)
-        assert fresh.get(config, "tpcc_like", 500) is None
-
-    def test_cache_reads_legacy_stem(self, tmp_path):
-        config = skylake_server()
-        cache = ResultCache(tmp_path)
         res = _st_result("tpcc_like")
-        cache.put(config, "tpcc_like", 500, res)
-        fp = config_fingerprint(config)
-        cache._path(fp, "tpcc_like", 500).rename(
-            cache._legacy_path(fp, "tpcc_like", 500)
-        )
+        ResultStore(tmp_path).put(config, "tpcc_like", 500, res)
         hit = ResultCache(tmp_path).lookup(config, "tpcc_like", 500)
         assert hit is not None and not hit.near
         assert hit.result == res
 
-    def test_cache_legacy_excluded_from_near(self, tmp_path):
+    @staticmethod
+    def _old_checkpoint(tmp_path, version_key):
+        """A current entry rewritten into a pre-unification envelope."""
         config = skylake_server()
-        cache = ResultCache(tmp_path, near=True)
-        cache.put(config, "tpcc_like", 500, _st_result("tpcc_like"))
-        fp = config_fingerprint(config)
-        cache._path(fp, "tpcc_like", 500).rename(
-            cache._legacy_path(fp, "tpcc_like", 500)
+        ResultStore(tmp_path).put(
+            config, "tpcc_like", 500, _st_result("tpcc_like")
         )
-        fresh = ResultCache(tmp_path, near=True)
-        # Exact (legacy) still hits at the stored length...
-        assert fresh.lookup(config, "tpcc_like", 500) is not None
-        # ...but the legacy entry cannot answer a longer request as "near".
-        assert fresh.lookup(config, "tpcc_like", 800) is None
+        (path,) = tmp_path.glob("*.json")
+        payload = json.loads(path.read_text())
+        payload[version_key] = payload.pop("entry_version")
+        path.write_text(json.dumps(payload))
+        return config, path, payload
+
+    @pytest.mark.parametrize("version_key", ["checkpoint_version", "cache_version"])
+    def test_old_envelope_is_a_miss(self, tmp_path, version_key):
+        config, path, _ = self._old_checkpoint(tmp_path, version_key)
+        cache = ResultCache(tmp_path)
+        assert cache.lookup(config, "tpcc_like", 500) is None
+        assert cache.stats.corrupt_quarantined == 1
+        assert path.with_suffix(".json.corrupt").exists()
+
+        self._old_checkpoint(tmp_path, version_key)
+        store = ResultStore(tmp_path, resume=True)
+        assert store.get(config, "tpcc_like", 500) is None
+        assert store.corrupt_skipped == 1
+
+    def test_name_keyed_stem_is_a_miss(self, tmp_path):
+        config, path, payload = self._old_checkpoint(
+            tmp_path, "checkpoint_version"
+        )
+        fp = config_fingerprint(config)
+        path.unlink()
+        for stem in (
+            f"{config.name}--tpcc_like--500--{fp[:12]}",
+            f"{fp[:24]}--tpcc_like--500",
+        ):
+            (tmp_path / f"{stem}.json").write_text(json.dumps(payload))
+        assert ResultStore(tmp_path, resume=True).get(
+            config, "tpcc_like", 500
+        ) is None
+        assert ResultCache(tmp_path).lookup(config, "tpcc_like", 500) is None
+        # Not an entry name at all: inventory skips them.
+        assert ResultCache(tmp_path).entries() == []
+
+    def test_put_replaces_old_envelope(self, tmp_path):
+        config, path, _ = self._old_checkpoint(tmp_path, "checkpoint_version")
+        res = _st_result("tpcc_like", instructions=777)
+        ResultStore(tmp_path).put(config, "tpcc_like", 500, res)
+        assert "entry_version" in json.loads(path.read_text())
+        assert ResultStore(tmp_path, resume=True).get(
+            config, "tpcc_like", 500
+        ) == res
 
 
 class TestJobDedupKey:
@@ -166,6 +190,7 @@ class TestJobDedupKey:
         defaults = dict(
             job_id="j1", seq=1, fingerprint="cfgfp", config_name="c",
             config={}, workload="tpcc_like", n_instrs=500,
+            workload_fingerprint=workload_fingerprint("tpcc_like"),
         )
         defaults.update(kw)
         return Job(**defaults)
@@ -174,15 +199,10 @@ class TestJobDedupKey:
         job = self._job(workload_fingerprint="abc123")
         assert job.key == ("cfgfp", "abc123", 500)
 
-    def test_legacy_job_keys_by_name(self):
-        # Journals written before the field existed replay with "" and fall
-        # back to name-keyed dedup.
-        job = self._job()
-        assert job.key == ("cfgfp", "tpcc_like", 500)
-
-    def test_from_dict_accepts_legacy_payload(self):
-        payload = self._job().to_dict()
+    def test_job_requires_workload_fingerprint(self):
+        with pytest.raises(ValueError, match="workload_fingerprint"):
+            self._job(workload_fingerprint="")
+        payload = self._job(workload_fingerprint="abc123").to_dict()
         del payload["workload_fingerprint"]
-        job = Job.from_dict(payload)
-        assert job.workload_fingerprint == ""
-        assert job.key == ("cfgfp", "tpcc_like", 500)
+        with pytest.raises(TypeError):
+            Job.from_dict(payload)

@@ -116,7 +116,7 @@ class TestCorruptEntries:
     def test_wrong_schema_is_quarantined(self, cache, config):
         cache.put(config, WL, N, run_once(config))
         (entry,) = cache.entries()
-        entry.path.write_text(json.dumps({"cache_version": 999}))
+        entry.path.write_text(json.dumps({"entry_version": 999}))
         assert cache.lookup(config, WL, N) is None
         assert cache.stats.corrupt_quarantined == 1
 

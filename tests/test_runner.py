@@ -26,6 +26,7 @@ from repro.runner import (
     get_runner,
     use_runner,
 )
+from repro.cache.result_cache import read_entry
 from repro.sim.config import no_l2, skylake_server, with_extra_latency
 from repro.caches.hierarchy import Level
 
@@ -59,7 +60,11 @@ class TestStore:
         result = first.run(CFG, "hmmer_like", N)
         files = list(tmp_path.glob("*.json"))
         assert len(files) == 1
-        assert "baseline_server" in files[0].name and "hmmer_like" in files[0].name
+        # One entry format with the result cache: config fingerprint, then
+        # the workload's display name in the file name.
+        name = files[0].name
+        assert name.startswith(config_fingerprint(CFG)[:24])
+        assert "hmmer_like" in name
 
         second = make_runner(store=ResultStore(tmp_path, resume=True))
         restored = second.run(CFG, "hmmer_like", N)
@@ -136,7 +141,8 @@ class TestStore:
 
         monkeypatch.setattr(os, "replace", refuse)
         store = ResultStore(tmp_path, resume=True)
-        assert store._quarantine(checkpoint) is None
+        assert store.get(CFG, "hmmer_like", N) is None
+        assert store.corrupt_skipped == 1
         assert store.quarantined == []
         assert checkpoint.exists()  # left in place, counted, not re-parsed
 
@@ -145,11 +151,13 @@ class TestStore:
         make_runner(store=store).run(CFG, "hmmer_like", N)
         (checkpoint,) = tmp_path.glob("*.json")
         payload = json.loads(checkpoint.read_text())
-        payload["checkpoint_version"] = 99
+        payload["entry_version"] = 99
         checkpoint.write_text(json.dumps(payload))
-        resumed = ResultStore(tmp_path, resume=True)
         with pytest.raises(CheckpointError, match="version"):
-            resumed._read_checkpoint(checkpoint, payload["fingerprint"])
+            read_entry(checkpoint)
+        resumed = ResultStore(tmp_path, resume=True)
+        assert resumed.get(CFG, "hmmer_like", N) is None
+        assert resumed.corrupt_skipped == 1
 
     def test_clear_drops_memory_keeps_disk(self, tmp_path):
         store = ResultStore(tmp_path, resume=True)

@@ -43,6 +43,8 @@ def make_queue(state_dir, **kwargs):
 
 def submit(queue, *, fingerprint="fp0", workload=WL, n=50_000, **kwargs):
     kwargs.setdefault("config_name", "cfg")
+    # The name stands in for the workload's content digest.
+    kwargs.setdefault("workload_fingerprint", workload)
     job, deduped = queue.submit(
         {"name": "cfg"}, workload, n, fingerprint=fingerprint, **kwargs
     )

@@ -72,6 +72,7 @@ class TestQueueExactlyOnce:
                 job, _ = queue.submit(
                     {"name": f"cfg{i}"}, "wl", 50_000,
                     fingerprint=f"fp{i:04d}", config_name=f"cfg{i}",
+                    workload_fingerprint="wfp-wl",
                 )
                 jobs.append(job)
                 ack("exists", job)
@@ -110,6 +111,7 @@ class TestQueueExactlyOnce:
             job, _ = queue.submit(
                 {"name": "late"}, "wl", 50_000,
                 fingerprint="fp-late", config_name="late",
+                workload_fingerprint="wfp-wl",
             )
             ack("exists", job)
             queue.journal.close()

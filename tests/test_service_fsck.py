@@ -12,6 +12,7 @@ import shutil
 
 import pytest
 
+from repro.cache.cli import main as cache_main
 from repro.service import DONE, PENDING, build_service
 from repro.service.fsck import (
     EXIT_ERRORS,
@@ -22,8 +23,8 @@ from repro.service.fsck import (
     repair_state_dir,
 )
 from repro.service.http import preset_configs
-from repro.service.journal import Journal, encode_record
-from repro.service.queue import JobQueue
+from repro.service.journal import Journal, encode_record, scan_journal
+from repro.service.queue import JobQueue, replay_state
 from repro.sim.serialization import config_to_dict
 
 
@@ -163,6 +164,47 @@ class TestCorruptionClasses:
         (state / "service.json").write_text(json.dumps({"pid": 2 ** 22 + 11}))
         report = check_state_dir(state)
         assert "daemon-alive" not in codes(report)
+
+
+class TestOneEntryFormat:
+    def test_cache_ls_lists_daemon_checkpoints(self, state, capsys):
+        assert cache_main(["ls", str(state / "ckpt"), "--json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)
+        assert (row["workload"], row["n_instrs"]) == ("hmmer_like", 2000)
+        assert row["entry"] == checkpoint_file(state).name
+
+    @pytest.mark.parametrize("old_name", [False, True])
+    def test_pre_unification_checkpoint_is_corrupt(self, state, old_name):
+        path = checkpoint_file(state)
+        payload = json.loads(path.read_text())
+        payload["checkpoint_version"] = payload.pop("entry_version")
+        if old_name:
+            # The name-keyed stem of the pre-fingerprint store.
+            fp = payload["fingerprint"]
+            path.unlink()
+            path = path.with_name(
+                f"baseline_server--hmmer_like--2000--{fp[:12]}.json"
+            )
+        path.write_text(json.dumps(payload))
+        report = check_state_dir(state)
+        assert not report.ok
+        corrupt = [f for f in report.findings if f.code == "checkpoint-corrupt"]
+        assert [f.path for f in corrupt] == [str(path)]
+
+    def test_record_without_workload_fingerprint_fails_replay(self, state):
+        job = _job_dict("j009904", 994)
+        del job["workload_fingerprint"]
+        append_records(state, [{"op": "submit", "job": job}])
+        records, _ = scan_journal(state / "journal.wal")
+        jobs, _, _, errors = replay_state(records)
+        assert "j009904" not in jobs
+        assert len(errors) == 1 and "workload_fingerprint" in errors[0]
+        assert "journal-invalid-record" in codes(check_state_dir(state))
+        report = repair_state_dir(state)
+        assert report.ok
+        assert "dropped 1 journal record(s) that did not replay" in (
+            report.repairs
+        )
 
 
 class TestRepair:
@@ -307,6 +349,7 @@ def _job_dict(job_id: str, seq: int) -> dict:
         "config_name": "seeded",
         "config": {"name": "seeded"},
         "workload": "wl",
+        "workload_fingerprint": "e" * 64,
         "n_instrs": 1000,
         "state": "pending",
         "submitted_at": 1.0,

@@ -5,7 +5,9 @@ urllib — the same client path the CLI uses — so status codes, headers and
 body shapes are exercised end to end.
 """
 
+import http.client
 import json
+import time
 import urllib.error
 import urllib.request
 
@@ -64,6 +66,24 @@ class TestBasics:
         from repro import __version__
 
         assert body["version"] == __version__
+
+    def test_kept_alive_connection_does_not_stall(self, api):
+        # Headers and body go out as two writes; without TCP_NODELAY the
+        # second waits for the client's delayed ACK (~40 ms per request).
+        url, _ = api
+        host, port = url.removeprefix("http://").split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=10)
+        try:
+            start = time.perf_counter()
+            for _ in range(20):
+                conn.request("GET", "/api/v1/healthz")
+                response = conn.getresponse()
+                assert response.status == 200
+                json.loads(response.read())
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        assert elapsed < 0.25, f"20 kept-alive requests took {elapsed:.3f} s"
 
     def test_unknown_route_404(self, api):
         url, _ = api

@@ -235,7 +235,8 @@ class TestQueueObservability:
     def test_trace_id_survives_journal_replay(self, tmp_path):
         queue = self.make_queue(tmp_path)
         job, _ = queue.submit({"name": "cfg"}, "wl", 1000,
-                              fingerprint="fp0", trace_id="req-abc123")
+                              fingerprint="fp0", trace_id="req-abc123",
+                              workload_fingerprint="wfp-wl")
         queue.journal.close()
         reopened = self.make_queue(tmp_path)
         assert reopened.get(job.job_id).trace_id == "req-abc123"
@@ -245,7 +246,8 @@ class TestQueueObservability:
         clock = FakeClock()
         queue = self.make_queue(tmp_path, clock=clock,
                                 lease_s=1.0, max_attempts=1)
-        job, _ = queue.submit({"name": "cfg"}, "wl", 1000, fingerprint="fp0")
+        job, _ = queue.submit({"name": "cfg"}, "wl", 1000, fingerprint="fp0",
+                              workload_fingerprint="wfp-wl")
         assert queue.lease("w0") is not None
         clock.advance(5.0)
         (reclaimed,) = queue.expire_leases()
@@ -260,7 +262,8 @@ class TestQueueObservability:
 
     def test_stats_exposes_breaker_states_and_journal_counters(self, tmp_path):
         queue = self.make_queue(tmp_path)
-        queue.submit({"name": "cfg"}, "wl", 1000, fingerprint="fp0")
+        queue.submit({"name": "cfg"}, "wl", 1000, fingerprint="fp0",
+                     workload_fingerprint="wfp-wl")
         stats = queue.stats()
         assert stats["breaker_states"] == {
             "closed": 0, "open": 0, "half_open": 0,
@@ -274,7 +277,8 @@ class TestQueueObservability:
         recorder = FlightRecorder()
         queue = self.make_queue(tmp_path, recorder=recorder)
         job, _ = queue.submit({"name": "cfg"}, "wl", 1000,
-                              fingerprint="fp0", trace_id="t1")
+                              fingerprint="fp0", trace_id="t1",
+                              workload_fingerprint="wfp-wl")
         queue.lease("w0")
         queue.complete(job.job_id, "w0", {"ipc": 1.0})
         kinds = [e["kind"] for e in recorder.events()]

@@ -44,6 +44,8 @@ def make_queue(tmp_path, clock=None, **kwargs):
 def submit(queue, i=0, *, workload="wl", n=50_000, **kwargs):
     kwargs.setdefault("fingerprint", f"fp{i:04d}")
     kwargs.setdefault("config_name", f"cfg{i}")
+    # The name stands in for the workload's content digest.
+    kwargs.setdefault("workload_fingerprint", workload)
     job, deduped = queue.submit({"name": f"cfg{i}"}, workload, n, **kwargs)
     return job, deduped
 

@@ -3,8 +3,8 @@
 Covers the plugin-ised workload layer: registry lookup semantics,
 ``workload_fingerprint`` (synthetic / trace / mix / name-fallback),
 trace-file ingestion in all three serialization formats, the
-fingerprint-keyed ``build_trace`` memo, and the sanitisation-collision and
-legacy-stem behaviour of the checkpoint store and result cache.
+fingerprint-keyed ``build_trace`` memo, and the sanitisation-collision
+behaviour of the checkpoint store and result cache.
 """
 
 import dataclasses
