@@ -5,8 +5,8 @@
 envelope, validator and ``*.corrupt`` quarantine — for both views over it:
 the per-campaign checkpoint store (:class:`repro.runner.store.ResultStore`)
 and the cross-campaign :class:`ResultCache`.  The cache's exact hits return
-stored results byte-identically with ``cache_hit`` provenance; near hits
-(opt-in) serve quick estimates with explicit ``near_hit`` provenance.
+stored results byte-identically with ``cache_hit`` provenance; anything
+else is a miss that re-simulates, so every served result is a measurement.
 ``python -m repro.cache`` administers any entry directory — a shared cache
 or a campaign/daemon checkpoint dir (``ls``/``stats``/``gc``/``pin``/
 ``unpin``).
@@ -26,7 +26,6 @@ from .result_cache import (
     CacheHit,
     CacheStats,
     ResultCache,
-    neighbor_param,
 )
 
 
@@ -40,13 +39,6 @@ def add_cache_args(parser: argparse.ArgumentParser) -> None:
              "DIR instead of re-simulating",
     )
     group.add_argument(
-        "--cache-near", action="store_true",
-        help="also serve *near* hits (same point at a lower n_instrs, or "
-             "one numeric knob away) as quick estimates carrying explicit "
-             "near_hit provenance; off by default so figures never "
-             "silently mix estimate and exact data",
-    )
-    group.add_argument(
         "--cache-max-mb", type=float, metavar="M",
         help="byte budget for --cache-dir; exceeding it evicts "
              "least-recently-used unpinned entries",
@@ -56,8 +48,6 @@ def add_cache_args(parser: argparse.ArgumentParser) -> None:
 def cache_from_args(args: argparse.Namespace) -> ResultCache | None:
     """Build the cache an invocation's ``--cache-*`` flags describe."""
     if not getattr(args, "cache_dir", None):
-        if getattr(args, "cache_near", False):
-            raise SystemExit("--cache-near requires --cache-dir")
         if getattr(args, "cache_max_mb", None) is not None:
             raise SystemExit("--cache-max-mb requires --cache-dir")
         return None
@@ -66,11 +56,7 @@ def cache_from_args(args: argparse.Namespace) -> ResultCache | None:
         if getattr(args, "cache_max_mb", None) is not None
         else None
     )
-    return ResultCache(
-        args.cache_dir,
-        near=bool(getattr(args, "cache_near", False)),
-        max_bytes=max_bytes,
-    )
+    return ResultCache(args.cache_dir, max_bytes=max_bytes)
 
 
 __all__ = [
@@ -80,5 +66,4 @@ __all__ = [
     "ResultCache",
     "add_cache_args",
     "cache_from_args",
-    "neighbor_param",
 ]

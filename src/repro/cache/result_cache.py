@@ -27,12 +27,8 @@ cache.  The cache answers with:
   untouched (re-checkpointing it is byte-identical); the
   ``{"cache_hit": True}`` provenance travels in
   :attr:`CacheHit.provenance`, never inside the result payload.
-* **Near hits** (opt-in via ``near=True`` / ``--cache-near``) — a quick
-  estimate from the same point at a **lower** ``n_instrs``, or from a
-  machine differing in exactly **one numeric parameter**.  The result is
-  a *copy* whose ``telemetry["cache"]`` carries ``{near_hit, source_key,
-  requested_n_instrs, ...}``, and it is never written back under the
-  requested key.
+* **Misses** — anything else.  There are no approximate answers: every
+  result the cache serves is a measurement of exactly the requested key.
 
 Cache puts are first-write-wins (content-addressed, so a re-put is a
 no-op); :meth:`ResultCache.gc` evicts least-recently-used entries down to
@@ -48,7 +44,7 @@ import logging
 import os
 import re
 import weakref
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -229,7 +225,6 @@ class CacheStats:
     """Monotonic counters for one :class:`ResultCache` instance."""
 
     exact_hits: int = 0
-    near_hits: int = 0
     misses: int = 0
     puts: int = 0               #: entries actually written (re-puts skipped)
     evictions: int = 0
@@ -240,17 +235,11 @@ class CacheStats:
 class CacheHit:
     """One cache answer: the result plus how it was derived.
 
-    ``provenance`` is ``{"cache_hit": True, "key": [...]}`` for exact hits;
-    near hits carry ``{"near_hit": True, "source_key": [...],
-    "requested_n_instrs": N, "mode": "lower_n" | "neighbor_param", ...}``.
+    ``provenance`` is ``{"cache_hit": True, "key": [...]}``.
     """
 
     result: RunResult
     provenance: dict = field(default_factory=dict)
-
-    @property
-    def near(self) -> bool:
-        return bool(self.provenance.get("near_hit"))
 
 
 @dataclass
@@ -266,52 +255,6 @@ class _Entry:
     pinned: bool
 
 
-def _flatten(value, prefix: tuple = (), out: dict | None = None) -> dict:
-    """Flatten a canonical config dict into ``{leaf-path: scalar}``."""
-    if out is None:
-        out = {}
-    if isinstance(value, dict):
-        for key, sub in value.items():
-            _flatten(sub, prefix + (str(key),), out)
-    elif isinstance(value, (list, tuple)):
-        for i, sub in enumerate(value):
-            _flatten(sub, prefix + (str(i),), out)
-    else:
-        out[prefix] = value
-    return out
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def neighbor_param(config_a: dict, config_b: dict) -> tuple[str, object, object] | None:
-    """The single swept parameter separating two canonical config dicts.
-
-    Returns ``(dotted_path, value_a, value_b)`` when the configs differ in
-    exactly one leaf, that leaf is numeric in both, and it is not ``name``
-    — i.e. ``b`` is a neighboring point of a one-parameter sweep around
-    ``a``.  Anything else (zero diffs, multiple diffs, a structural or
-    non-numeric difference, a rename) returns ``None``: renamed machines
-    and reshaped hierarchies are never "near" each other.
-    """
-    flat_a = _flatten(config_a)
-    flat_b = _flatten(config_b)
-    missing = object()
-    diffs = [
-        key
-        for key in set(flat_a) | set(flat_b)
-        if flat_a.get(key, missing) != flat_b.get(key, missing)
-    ]
-    if len(diffs) != 1:
-        return None
-    (key,) = diffs
-    a, b = flat_a.get(key, missing), flat_b.get(key, missing)
-    if key == ("name",) or not (_is_number(a) and _is_number(b)):
-        return None
-    return ".".join(key), a, b
-
-
 class ResultCache:
     """Size-bounded, content-addressed result cache over a directory.
 
@@ -319,8 +262,6 @@ class ResultCache:
         cache_dir: the shared entry directory (created if missing).  Unlike
             a checkpoint dir this is meant to be long-lived and shared
             across campaigns/daemons.
-        near: default near-hit policy for :meth:`lookup` — ``False`` means
-            exact hits only (the safe default; ``--cache-near`` opts in).
         max_bytes: optional byte budget; exceeding it after a put triggers
             an automatic LRU :meth:`gc`.
     """
@@ -329,11 +270,9 @@ class ResultCache:
         self,
         cache_dir: str | Path,
         *,
-        near: bool = False,
         max_bytes: int | None = None,
     ) -> None:
         self.cache_dir = Path(cache_dir)
-        self.near = near
         self.max_bytes = max_bytes
         self.stats = CacheStats()
         self.cache_dir.mkdir(parents=True, exist_ok=True)
@@ -341,19 +280,9 @@ class ResultCache:
     # ------------------------------------------------------------- access
 
     def lookup(
-        self,
-        config: SimConfig,
-        workload: str,
-        n_instrs: int,
-        *,
-        near: bool | None = None,
+        self, config: SimConfig, workload: str, n_instrs: int
     ) -> CacheHit | None:
-        """Answer one request: exact hit, near hit (if allowed), or miss.
-
-        ``near=None`` defers to the instance policy; passing an explicit
-        ``False`` lets a consumer that shares a near-enabled cache (the
-        daemon's executors) stay exact-only.
-        """
+        """Answer one request: an exact hit, or ``None`` (a miss)."""
         key = EntryKey.of(config, workload, n_instrs)
         path = entry_path(self.cache_dir, key)
         entry = self._load(path, key)
@@ -367,27 +296,8 @@ class ResultCache:
                     "key": [key.fingerprint, workload, n_instrs],
                 },
             )
-        allow_near = self.near if near is None else near
-        if allow_near:
-            hit = self._near_lookup(config, key)
-            if hit is not None:
-                self.stats.near_hits += 1
-                return hit
         self.stats.misses += 1
         return None
-
-    def get_by_key(
-        self, fingerprint: str, workload: str, n_instrs: int
-    ) -> RunResult | None:
-        """Fetch a stored result by raw key (no near logic, no counters).
-
-        This is the read-back path for a result that was *already served*
-        — e.g. the daemon resolving a near-completed job's ``source_key``
-        — so it deliberately does not touch the hit/miss accounting.
-        """
-        key = self._raw_key(fingerprint, workload, n_instrs)
-        entry = self._load(entry_path(self.cache_dir, key), key)
-        return entry["result"] if entry is not None else None
 
     def put(
         self,
@@ -402,8 +312,6 @@ class ResultCache:
 
         Content-addressed: if the entry already exists the write is skipped
         (first write wins, which keeps exact hits byte-stable forever).
-        Never call this with a near-hit estimate — the cache must only ever
-        contain real measurements.
         """
         key = EntryKey.of(config, workload, n_instrs)
         path = entry_path(self.cache_dir, key)
@@ -423,7 +331,7 @@ class ResultCache:
             fingerprint, workload_fingerprint(workload), workload, n_instrs
         )
 
-    def _load(self, path: Path, key: EntryKey | None = None) -> dict | None:
+    def _load(self, path: Path, key: EntryKey) -> dict | None:
         """:func:`read_entry`, with corrupt files quarantined and counted."""
         try:
             return read_entry(path, key)
@@ -431,91 +339,6 @@ class ResultCache:
             self.stats.corrupt_quarantined += 1
             quarantine(path, exc)
             return None
-
-    # ----------------------------------------------------------- near hits
-
-    def _near_lookup(self, config: SimConfig, key: EntryKey) -> CacheHit | None:
-        """Same point at a lower length, else a one-knob neighbor config."""
-        lower = self._best_lower_n(key)
-        if lower is not None:
-            source_n, result = lower
-            return self._near_hit(result, {
-                "near_hit": True,
-                "mode": "lower_n",
-                "source_key": [key.fingerprint, key.workload, source_n],
-                "requested_n_instrs": key.n_instrs,
-                "source_n_instrs": source_n,
-            })
-        neighbor = self._best_neighbor(config, key)
-        if neighbor is not None:
-            source_fp, param, source_value, requested_value, result = neighbor
-            return self._near_hit(result, {
-                "near_hit": True,
-                "mode": "neighbor_param",
-                "source_key": [source_fp, key.workload, key.n_instrs],
-                "requested_n_instrs": key.n_instrs,
-                "requested_fingerprint": key.fingerprint,
-                "param": param,
-                "source_value": source_value,
-                "requested_value": requested_value,
-            })
-        return None
-
-    @staticmethod
-    def _near_hit(result: RunResult, provenance: dict) -> CacheHit:
-        """Stamp near provenance into a *copy* of the stored result.
-
-        The estimate's own payload carries the flags, so downstream
-        serialization (figures, ``--json``, checkpoints a consumer
-        mistakenly writes) can always be told apart from exact data.
-        """
-        telemetry = dict(result.telemetry or {})
-        telemetry["cache"] = dict(provenance)
-        stamped = replace(result, telemetry=telemetry)
-        return CacheHit(result=stamped, provenance=provenance)
-
-    def _best_lower_n(self, key: EntryKey) -> tuple[int, RunResult] | None:
-        """The longest stored run of this exact point below ``n_instrs``."""
-        pattern = entry_path(self.cache_dir, key._replace(n_instrs="*")).name
-        candidates = []
-        for path in self.cache_dir.glob(pattern):
-            parsed = _parse_stem(path.stem)
-            if parsed is not None and parsed[2] < key.n_instrs:
-                candidates.append(parsed[2])
-        for entry_n in sorted(candidates, reverse=True):
-            lower = key._replace(n_instrs=entry_n)
-            entry = self._load(entry_path(self.cache_dir, lower), lower)
-            if entry is not None:
-                return entry_n, entry["result"]
-        return None
-
-    def _best_neighbor(
-        self, config: SimConfig, key: EntryKey
-    ) -> tuple[str, str, object, object, RunResult] | None:
-        """A stored run at the same ``(workload, n)`` one numeric knob away.
-
-        The workload-fingerprint segment is shared across configs (same
-        workload → same fingerprint), so it anchors the glob.
-        """
-        requested = config_to_dict(config)
-        pattern = entry_path(self.cache_dir, key._replace(fingerprint="*")).name
-        best = None
-        for path in sorted(self.cache_dir.glob(pattern)):
-            parsed = _parse_stem(path.stem)
-            if parsed is None or parsed[0] == key.fingerprint[:FP_PREFIX]:
-                continue
-            entry = self._load(path)
-            if entry is None or entry["key"][1:] != key[1:]:
-                continue  # sanitized-name collision: a different real point
-            diff = neighbor_param(requested, entry["config"])
-            if diff is None:
-                continue
-            param, requested_value, source_value = diff
-            distance = abs(source_value - requested_value)
-            if best is None or distance < best[0]:
-                best = (distance, entry["fingerprint"], param,
-                        source_value, requested_value, entry["result"])
-        return best[1:] if best is not None else None
 
     @staticmethod
     def _touch(path: Path) -> None:
@@ -632,6 +455,5 @@ class ResultCache:
             entries=len(rows),
             bytes=sum(row.bytes for row in rows),
             pinned=sum(1 for row in rows if row.pinned),
-            near_enabled=self.near,
             max_bytes=self.max_bytes,
         )

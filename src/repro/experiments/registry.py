@@ -206,7 +206,6 @@ def make_runner(args: argparse.Namespace) -> ExperimentRunner:
             timeout_s=args.timeout,
             retries=args.retries,
             cache=cache_from_args(args),
-            cache_near=args.cache_near,
             **kwargs,
         )
     return FleetRunner(
@@ -217,7 +216,6 @@ def make_runner(args: argparse.Namespace) -> ExperimentRunner:
         max_rss_mb=args.max_rss_mb,
         fault_specs=injectors,
         cache=cache_from_args(args),
-        cache_near=args.cache_near,
     )
 
 

@@ -180,11 +180,10 @@ class FleetRunner(ExperimentRunner):
         grace_s: float = DEAD_WORKER_GRACE_S,
         mp_context: str = "spawn",
         cache=None,
-        cache_near: bool = False,
     ) -> None:
         super().__init__(
             store, timeout_s=timeout_s, retries=retries, backoff_s=backoff_s,
-            cache=cache, cache_near=cache_near,
+            cache=cache,
         )
         self.jobs = jobs if jobs > 0 else (os.cpu_count() or 1)
         self.max_rss_mb = max_rss_mb
@@ -237,23 +236,8 @@ class FleetRunner(ExperimentRunner):
             # receive already re-composed configurations.
             config = apply_active_selection(config)
             config.validate()
-            cached = self.store.get(config, workload, n_instrs)
-            if cached is not None:
-                self.stats.store_hits += 1
-                self._cache_put(config, workload, n_instrs, cached)
-                ordered[i] = cached
-                continue
-            hit = self._cache_lookup(config, workload, n_instrs)
-            if hit is not None:
-                if hit.near:
-                    # Estimate for a different key: served with provenance,
-                    # never checkpointed as this point's result.
-                    self.stats.cache_near_hits += 1
-                    ordered[i] = hit.result
-                    continue
-                self.stats.cache_hits += 1
-                self.store.put(config, workload, n_instrs, hit.result)
-                ordered[i] = hit.result
+            ordered[i] = self._recall(config, workload, n_instrs)
+            if ordered[i] is not None:
                 continue
             key = (
                 self.store.fingerprint(config),

@@ -58,8 +58,7 @@ class RunnerStats:
     executed: int = 0        #: simulations actually run (attempts that started)
     completed: int = 0       #: runs that produced a valid result
     store_hits: int = 0      #: results served from the store without simulating
-    cache_hits: int = 0      #: exact result-cache hits (no simulation)
-    cache_near_hits: int = 0  #: near result-cache hits (estimates, no sim)
+    cache_hits: int = 0      #: result-cache hits (no simulation)
     retries: int = 0         #: re-attempts after a transient failure
     timeouts: int = 0        #: runs aborted by the wall-clock deadline
     failures: int = 0        #: runs abandoned after all recovery attempts
@@ -170,12 +169,8 @@ class ExperimentRunner:
         clock / sleep: injectable time sources (tests use fakes).
         cache: optional content-addressed result cache
             (:class:`repro.cache.ResultCache`), consulted after a store
-            miss and fed on every completion.  Exact hits are promoted
-            into the store (so later lookups stay local); near hits are
-            returned as estimates carrying ``telemetry["cache"]``
-            provenance and are *never* written to the store.
-        cache_near: allow near hits from ``cache`` (opt-in; requires the
-            caller to tolerate estimate results with provenance).
+            miss and fed on every completion.  Hits are promoted into the
+            store (so later lookups stay local).
     """
 
     def __init__(
@@ -190,7 +185,6 @@ class ExperimentRunner:
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
         cache=None,
-        cache_near: bool = False,
     ) -> None:
         self.store = store if store is not None else ResultStore()
         self.timeout_s = timeout_s
@@ -201,7 +195,6 @@ class ExperimentRunner:
         self.clock = clock
         self.sleep = sleep
         self.cache = cache
-        self.cache_near = bool(cache_near)
         self.stats = RunnerStats()
         self.failures: list[FailureRecord] = []
         #: Optional per-instruction callable chained into every attempt's
@@ -226,37 +219,9 @@ class ExperimentRunner:
 
         config = apply_active_selection(config)
         config.validate()
-        cached = self.store.get(config, workload, n_instrs)
-        if cached is not None:
-            self.stats.store_hits += 1
-            self._cache_put(config, workload, n_instrs, cached)
-            log_event(
-                logger, logging.DEBUG, "served from store",
-                config=config.name, workload=workload, n=n_instrs,
-            )
-            return cached
-        hit = self._cache_lookup(config, workload, n_instrs)
-        if hit is not None:
-            if hit.near:
-                self.stats.cache_near_hits += 1
-                log_event(
-                    logger, logging.INFO, "served near hit from cache",
-                    config=config.name, workload=workload, n=n_instrs,
-                    mode=hit.provenance.get("mode"),
-                )
-                # A near hit is an estimate for a *different* key: return
-                # it (with its telemetry provenance) but never checkpoint
-                # it as this point's result.
-                return hit.result
-            self.stats.cache_hits += 1
-            # Promote the shared-cache result into the local store so the
-            # rest of this campaign hits locally — and byte-identically.
-            self.store.put(config, workload, n_instrs, hit.result)
-            log_event(
-                logger, logging.DEBUG, "served from result cache",
-                config=config.name, workload=workload, n=n_instrs,
-            )
-            return hit.result
+        recalled = self._recall(config, workload, n_instrs)
+        if recalled is not None:
+            return recalled
 
         start = self.clock()
         attempts = 0
@@ -315,14 +280,41 @@ class ExperimentRunner:
 
     # -------------------------------------------------------- result cache
 
+    def _recall(
+        self, config: SimConfig, workload: str, n_instrs: int
+    ) -> RunResult | None:
+        """A stored result for this point, or ``None`` when it must run.
+
+        The campaign store answers first (and re-feeds the shared cache);
+        on a store miss, a shared-cache hit is promoted into the store so
+        the rest of the campaign hits locally — and byte-identically.
+        """
+        result = self.store.get(config, workload, n_instrs)
+        if result is not None:
+            self.stats.store_hits += 1
+            self._cache_put(config, workload, n_instrs, result)
+            log_event(
+                logger, logging.DEBUG, "served from store",
+                config=config.name, workload=workload, n=n_instrs,
+            )
+            return result
+        hit = self._cache_lookup(config, workload, n_instrs)
+        if hit is None:
+            return None
+        self.stats.cache_hits += 1
+        self.store.put(config, workload, n_instrs, hit.result)
+        log_event(
+            logger, logging.DEBUG, "served from result cache",
+            config=config.name, workload=workload, n=n_instrs,
+        )
+        return hit.result
+
     def _cache_lookup(self, config: SimConfig, workload: str, n_instrs: int):
         """Consult the shared result cache (best-effort: errors are misses)."""
         if self.cache is None:
             return None
         try:
-            return self.cache.lookup(
-                config, workload, n_instrs, near=self.cache_near
-            )
+            return self.cache.lookup(config, workload, n_instrs)
         except OSError as exc:
             log_event(
                 logger, logging.WARNING, "result-cache lookup failed",

@@ -282,7 +282,6 @@ def _serve(args: argparse.Namespace) -> int:
             retries=args.retries,
             max_rss_mb=args.max_rss_mb,
             cache=cache_from_args(args),
-            cache_near=args.cache_near,
         )
         server = make_server(service, args.host, args.port)
         host, port = server.server_address[:2]

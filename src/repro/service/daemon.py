@@ -170,12 +170,6 @@ class CampaignService:
             ``done-cached`` journal outcome (no lease, no simulation)
             after first copying the result into the store, so
             ``result_payload`` stays byte-identical to a real run.
-        cache_near: serve near hits (lower-``n_instrs`` / neighboring
-            swept parameter) at submit time.  Off by default — near
-            results are estimates and only ever served with explicit
-            ``near_hit`` provenance.  Executor runners always consult
-            the cache with near *disabled*: a near hit must be journaled
-            with its provenance, which only the submit path does.
     """
 
     def __init__(
@@ -194,7 +188,6 @@ class CampaignService:
         recorder=None,
         flightrec_dir: str | Path | None = None,
         cache=None,
-        cache_near: bool = False,
     ) -> None:
         if isolation not in ("thread", "process"):
             raise ValueError(f"unknown isolation {isolation!r}")
@@ -213,7 +206,6 @@ class CampaignService:
         self.recorder = recorder if recorder is not None else NULL_FLIGHT_RECORDER
         self.flightrec_dir = Path(flightrec_dir) if flightrec_dir else None
         self.cache = cache
-        self.cache_near = bool(cache_near)
         self._runner_factory = runner_factory or self._default_runner
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
@@ -400,20 +392,14 @@ class CampaignService:
         Exact hit: the result is first copied into the store (so
         ``result_payload`` serves it byte-identically, and the
         exactly-once contract keeps its checkpoint-before-journal order),
-        then the job is journaled ``done-cached``.  Near hit (only when
-        ``cache_near``): journaled ``done-cached`` with the near
-        provenance; the result is served from the cache's *source* entry
-        at read time, never written to the store — a neighbouring point's
-        estimate must not masquerade as this point's checkpoint.
+        then the job is journaled ``done-cached``.
 
         Any failure leaves the job pending: it simply runs for real.
         Storage-fault evidence flips safe mode like every other durable
         write, but never loses the job.
         """
         try:
-            hit = self.cache.lookup(
-                config, job.workload, job.n_instrs, near=self.cache_near
-            )
+            hit = self.cache.lookup(config, job.workload, job.n_instrs)
         except OSError as exc:
             log_event(
                 logger, logging.WARNING, "cache lookup failed",
@@ -432,11 +418,10 @@ class CampaignService:
             "cached": True,
         }
         try:
-            if not hit.near:
-                # Checkpoint before the done-cached journal record: a crash
-                # between the two re-runs the job as a store hit, still
-                # byte-identical (the exactly-once contract, cache edition).
-                self.store.put(config, job.workload, job.n_instrs, result)
+            # Checkpoint before the done-cached journal record: a crash
+            # between the two re-runs the job as a store hit, still
+            # byte-identical (the exactly-once contract, cache edition).
+            self.store.put(config, job.workload, job.n_instrs, result)
             return self.queue.complete_cached(
                 job.job_id, summary=summary, provenance=dict(hit.provenance),
             )
@@ -458,28 +443,9 @@ class CampaignService:
         return None
 
     def result_payload(self, job: Job) -> dict | None:
-        """The stored :class:`RunResult` for a done job, serialized.
-
-        Near-cached jobs have no store checkpoint of their own: their
-        payload is read from the cache's *source* entry and stamped with
-        the journaled near provenance (``telemetry.cache``), so a client
-        can always tell an estimate from a measurement.
-        """
+        """The stored :class:`RunResult` for a done job, serialized."""
         if job.state != DONE:
             return None
-        provenance = job.cache_provenance or {}
-        if job.cached and provenance.get("near_hit"):
-            if self.cache is None:
-                return None
-            source_key = provenance.get("source_key") or []
-            result = self.cache.get_by_key(*source_key)
-            if result is None:
-                return None
-            payload = result_to_dict(result)
-            payload["telemetry"] = dict(
-                payload.get("telemetry") or {}, cache=dict(provenance)
-            )
-            return payload
         config = config_from_dict(job.config)
         result = self.store.get(config, job.workload, job.n_instrs)
         return result_to_dict(result) if result is not None else None
@@ -487,10 +453,6 @@ class CampaignService:
     # ------------------------------------------------------------ executors
 
     def _default_runner(self) -> ExperimentRunner:
-        # Executors get the cache with near hits *disabled* (the runner
-        # default): a near result completed by an executor would be a done
-        # job with no journaled provenance.  Near serving happens only at
-        # submit time, through complete_cached.
         if self.isolation == "process":
             return FleetRunner(
                 self.store,
@@ -901,7 +863,6 @@ class CampaignService:
         if self.cache is not None:
             cstats = self.cache.stats
             registry.gauge("cache.exact_hits").set(cstats.exact_hits)
-            registry.gauge("cache.near_hits").set(cstats.near_hits)
             registry.gauge("cache.misses").set(cstats.misses)
             registry.gauge("cache.bytes").set(self.cache.bytes())
         registry.gauge("service.safe_mode").set(1 if self.safe_mode else 0)

@@ -259,11 +259,6 @@ def check_state_dir(state_dir: str | Path) -> FsckReport:
         if job.state != DONE:
             continue
         done_checked += 1
-        if job.cached and (job.cache_provenance or {}).get("near_hit"):
-            # Near-cached jobs have no checkpoint of their own: the
-            # payload is served from the result cache's *source* entry
-            # (the provenance names it), never from this job's store key.
-            continue
         problem = _done_checkpoint_problem(checkpoint_dir, job)
         if problem is not None:
             report.add("error", *problem)
@@ -386,6 +381,8 @@ def repair_state_dir(state_dir: str | Path) -> FsckReport:
                 job.finished_at = None
                 job.lease_owner = None
                 job.lease_expires_at = None
+                job.cached = False
+                job.cache_provenance = None
                 repairs.append(
                     f"demoted {job.job_id} to pending (checkpoint "
                     f"missing/corrupt; deterministic re-run restores "

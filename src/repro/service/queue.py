@@ -117,7 +117,7 @@ class Job:
     #: Result-cache provenance: a cached job completed straight from the
     #: content-addressed result cache (the ``done-cached`` journal outcome)
     #: without ever holding a lease.  ``cache_provenance`` is the cache's
-    #: hit record (``cache_hit`` or ``near_hit`` + ``source_key``).
+    #: hit record (``{"cache_hit": True, "key": [...]}``).
     cached: bool = False
     cache_provenance: dict | None = None
     attempts: int = 0
@@ -814,12 +814,10 @@ class JobQueue:
             self.recorder.record(
                 "done_cached", job_id=job_id, trace_id=job.trace_id,
                 config=job.config_name, workload=job.workload,
-                near=bool((provenance or {}).get("near_hit")),
             )
             log_event(
                 logger, logging.INFO, "job completed from cache",
                 job=job_id, config=job.config_name, workload=job.workload,
-                near=bool((provenance or {}).get("near_hit")),
             )
             return job
 

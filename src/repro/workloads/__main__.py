@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from ..errors import ConfigError
 from .serialization import (
     describe_trace,
     load_trace_any,
@@ -61,7 +62,10 @@ def main(argv: list[str] | None = None) -> int:
         _SAVERS[args.format](trace, args.out)
         print(f"wrote {len(trace)} instructions to {args.out}")
     elif args.command == "info":
-        summary = describe_trace(load_trace_any(args.path))
+        try:
+            summary = describe_trace(load_trace_any(args.path))
+        except ConfigError as exc:
+            raise SystemExit(str(exc))
         for key, value in summary.items():
             print(f"  {key:22s} {value}")
     return 0

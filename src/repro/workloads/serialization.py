@@ -13,7 +13,8 @@ Three interchangeable on-disk formats, all exact round-trips:
   recorded traces.
 
 :func:`load_trace_any` sniffs the format from the file's leading bytes, so
-ingestion (``repro.workloads.ingest``) accepts any of the three.
+ingestion (``repro.workloads.ingest``) accepts any of the three; a file it
+cannot read or parse is a :class:`~repro.errors.ConfigError` naming it.
 
 CLI::
 
@@ -27,8 +28,10 @@ from __future__ import annotations
 import gzip
 import json
 import struct
+import zlib
 from pathlib import Path
 
+from ..errors import ConfigError
 from .trace import Instr, Op, Trace
 
 FORMAT_VERSION = 1
@@ -196,19 +199,19 @@ def load_trace_bin(path: str | Path) -> Trace:
         data = fh.read()
     if data[:4] != BIN_MAGIC:
         raise ValueError(f"{path} is not a compact binary trace (bad magic)")
-    version, name_len, cat_len = struct.unpack_from("<HHH", data, 4)
-    if version != FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported binary trace version {version} "
-            f"(this build reads {FORMAT_VERSION})"
-        )
-    offset = 10
-    name = data[offset:offset + name_len].decode(); offset += name_len
-    category = data[offset:offset + cat_len].decode(); offset += cat_len
-    count, image_len = struct.unpack_from("<QQ", data, offset)
-    offset += 16
     instrs = []
     try:
+        version, name_len, cat_len = struct.unpack_from("<HHH", data, 4)
+        if version != FORMAT_VERSION:
+            raise ValueError(
+                f"unsupported binary trace version {version} "
+                f"(this build reads {FORMAT_VERSION})"
+            )
+        offset = 10
+        name = data[offset:offset + name_len].decode(); offset += name_len
+        category = data[offset:offset + cat_len].decode(); offset += cat_len
+        count, image_len = struct.unpack_from("<QQ", data, offset)
+        offset += 16
         for _ in range(count):
             pc, op, dst, addr, value, target, taken, n_srcs = (
                 _BIN_INSTR.unpack_from(data, offset)
@@ -235,19 +238,40 @@ def load_trace_bin(path: str | Path) -> Trace:
 # ------------------------------------------------------------ format sniffing
 
 
+#: What the format loaders raise on a malformed file: gzip and struct
+#: framing errors, bad JSON or UTF-8, and JSON values of the wrong shape
+#: (a scalar row, a list header, a missing key).
+_MALFORMED = (
+    OSError, EOFError, zlib.error, struct.error,
+    ValueError, TypeError, KeyError, AttributeError, IndexError,
+    OverflowError,
+)
+
+
 def load_trace_any(path: str | Path) -> Trace:
     """Load a trace in any supported format, sniffed from its first bytes.
 
     gzip magic -> :func:`load_trace`; :data:`BIN_MAGIC` ->
-    :func:`load_trace_bin`; otherwise JSONL.
+    :func:`load_trace_bin`; otherwise JSONL.  An unreadable or malformed
+    file raises :class:`~repro.errors.ConfigError` naming it.
     """
-    with open(path, "rb") as fh:
-        head = fh.read(4)
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(4)
+    except OSError as exc:
+        raise ConfigError(f"trace file {path} is unreadable: {exc}") from exc
     if head[:2] == b"\x1f\x8b":
-        return load_trace(path)
-    if head == BIN_MAGIC:
-        return load_trace_bin(path)
-    return load_trace_jsonl(path)
+        loader = load_trace
+    elif head == BIN_MAGIC:
+        loader = load_trace_bin
+    else:
+        loader = load_trace_jsonl
+    try:
+        return loader(path)
+    except _MALFORMED as exc:
+        raise ConfigError(
+            f"trace file {path} is malformed: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def describe_trace(trace: Trace) -> dict:

@@ -105,7 +105,7 @@ class TestSanitisationCollision:
             assert cache.put(config, name, 500, _st_result(name, 100 + i))
         for i, name in enumerate(self.NAMES):
             hit = cache.lookup(config, name, 500)
-            assert hit is not None and not hit.near
+            assert hit is not None and hit.provenance["cache_hit"] is True
             assert hit.result.workload == name
             assert hit.result.instructions == 100 + i
 
@@ -128,7 +128,7 @@ class TestOneEntryFormat:
         res = _st_result("tpcc_like")
         ResultStore(tmp_path).put(config, "tpcc_like", 500, res)
         hit = ResultCache(tmp_path).lookup(config, "tpcc_like", 500)
-        assert hit is not None and not hit.near
+        assert hit is not None and hit.provenance["cache_hit"] is True
         assert hit.result == res
 
     @staticmethod

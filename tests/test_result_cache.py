@@ -1,9 +1,9 @@
 """Tests for the content-addressed result cache (repro.cache).
 
 Pins the tier's contract: exact hits are byte-identical and carry
-``cache_hit`` provenance outside the payload; near hits are opt-in
-estimates stamped with ``near_hit`` provenance inside ``telemetry``; any
-single config-field change misses; a renamed machine never collides;
+``cache_hit`` provenance outside the payload; anything but the exact key
+misses (there are no approximate answers); any single config-field change
+misses; a renamed machine never collides;
 corrupt entries quarantine like ``*.corrupt`` checkpoints; gc evicts LRU
 but never pinned entries.
 """
@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.cache import ResultCache, neighbor_param
+from repro.cache import ResultCache
 from repro.cache.cli import main as cache_cli
 from repro.runner import ExperimentRunner, ResultStore
 from repro.runner.store import config_fingerprint
@@ -47,7 +47,7 @@ class TestExactHits:
         result = run_once(config)
         assert cache.put(config, WL, N, result)
         hit = cache.lookup(config, WL, N)
-        assert hit is not None and not hit.near
+        assert hit is not None
         assert canonical(hit.result) == canonical(result)
         # Provenance travels beside the result, never inside it.
         assert hit.provenance["cache_hit"] is True
@@ -92,9 +92,8 @@ class TestInvalidation:
         cache.put(config, WL, N, result)
         renamed = dataclasses.replace(config, name="totally-different-label")
         # A rename changes the canonical JSON, hence the fingerprint, hence
-        # the key: the renamed machine neither hits nor near-hits.
+        # the key: the renamed machine misses.
         assert cache.lookup(renamed, WL, N) is None
-        assert cache.lookup(renamed, WL, N, near=True) is None
 
     def test_workload_and_length_participate_in_the_key(self, cache, config):
         cache.put(config, WL, N, run_once(config))
@@ -119,93 +118,6 @@ class TestCorruptEntries:
         entry.path.write_text(json.dumps({"entry_version": 999}))
         assert cache.lookup(config, WL, N) is None
         assert cache.stats.corrupt_quarantined == 1
-
-
-class TestNearHits:
-    def test_lower_n_served_with_provenance(self, cache, config):
-        result = run_once(config)
-        cache.put(config, WL, N, result)
-        hit = cache.lookup(config, WL, N * 2, near=True)
-        assert hit is not None and hit.near
-        prov = hit.provenance
-        assert prov["near_hit"] is True
-        assert prov["mode"] == "lower_n"
-        assert prov["source_key"] == [config_fingerprint(config), WL, N]
-        assert prov["requested_n_instrs"] == N * 2
-        # The estimate's own payload carries the flags too.
-        assert hit.result.telemetry["cache"]["near_hit"] is True
-        # …but the stored entry is untouched (the stamp is on a copy).
-        exact = cache.lookup(config, WL, N)
-        assert (exact.result.telemetry or {}).get("cache") is None
-
-    def test_higher_n_is_never_near(self, cache, config):
-        cache.put(config, WL, N, run_once(config))
-        assert cache.lookup(config, WL, N // 2, near=True) is None
-
-    def test_neighbor_param_served_with_provenance(self, cache, config):
-        neighbor = dataclasses.replace(
-            config, l2=dataclasses.replace(config.l2, latency=config.l2.latency + 1)
-        )
-        cache.put(neighbor, WL, N, run_once(neighbor))
-        hit = cache.lookup(config, WL, N, near=True)
-        assert hit is not None and hit.near
-        prov = hit.provenance
-        assert prov["mode"] == "neighbor_param"
-        assert prov["param"] == "l2.latency"
-        assert prov["source_key"] == [config_fingerprint(neighbor), WL, N]
-        assert prov["requested_fingerprint"] == config_fingerprint(config)
-
-    def test_two_field_difference_is_not_a_neighbor(self, cache, config):
-        far = dataclasses.replace(
-            config,
-            l2=dataclasses.replace(
-                config.l2, latency=config.l2.latency + 1, assoc=config.l2.assoc * 2
-            ),
-        )
-        cache.put(far, WL, N, run_once(far))
-        assert cache.lookup(config, WL, N, near=True) is None
-
-    def test_near_is_gated_off_by_default(self, cache, config):
-        cache.put(config, WL, N, run_once(config))
-        assert cache.lookup(config, WL, N * 2) is None
-        # Instance-level opt-in works the same way…
-        near_cache = ResultCache(cache.cache_dir, near=True)
-        assert near_cache.lookup(config, WL, N * 2) is not None
-        # …and a per-call override wins over the instance policy.
-        assert near_cache.lookup(config, WL, N * 2, near=False) is None
-
-    def test_closest_neighbor_wins(self, cache, config):
-        near1 = dataclasses.replace(
-            config, l2=dataclasses.replace(config.l2, latency=config.l2.latency + 1)
-        )
-        far9 = dataclasses.replace(
-            config, l2=dataclasses.replace(config.l2, latency=config.l2.latency + 9)
-        )
-        cache.put(far9, WL, N, run_once(far9))
-        cache.put(near1, WL, N, run_once(near1))
-        hit = cache.lookup(config, WL, N, near=True)
-        assert hit.provenance["source_value"] == config.l2.latency + 1
-
-
-class TestNeighborParam:
-    def test_identical_configs_are_not_neighbors(self, config):
-        d = config_to_dict(config)
-        assert neighbor_param(d, d) is None
-
-    def test_single_numeric_diff(self, config):
-        other = dataclasses.replace(config, capacity_scale=config.capacity_scale + 2)
-        diff = neighbor_param(config_to_dict(config), config_to_dict(other))
-        assert diff == ("capacity_scale", config.capacity_scale, config.capacity_scale + 2)
-
-    def test_rename_is_not_a_neighbor(self, config):
-        other = dataclasses.replace(config, name="else")
-        assert neighbor_param(config_to_dict(config), config_to_dict(other)) is None
-
-    def test_non_numeric_diff_is_not_a_neighbor(self, config):
-        other = dataclasses.replace(
-            config, l2=dataclasses.replace(config.l2, replacement="srrip")
-        )
-        assert neighbor_param(config_to_dict(config), config_to_dict(other)) is None
 
 
 class TestGc:

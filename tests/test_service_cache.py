@@ -2,9 +2,8 @@
 
 Covers the ``done-cached`` journal outcome (completion without a lease,
 replay, counters), submit-time cache resolution through a real daemon
-(byte-identical payloads across daemons, near provenance over HTTP),
-the degraded-dedup leak regression, and the fsck exemptions that keep a
-cached state directory clean.
+(byte-identical payloads across daemons, exact keys only), the
+degraded-dedup leak regression, and fsck's view of cached jobs.
 """
 
 import json
@@ -14,11 +13,12 @@ import pytest
 from repro.cache import ResultCache
 from repro.errors import JobStateError
 from repro.service import DONE, PENDING, build_service, make_server, serve_in_thread
-from repro.service.fsck import check_state_dir
+from repro.runner import ExperimentRunner, ResultStore
+from repro.service.fsck import check_state_dir, repair_state_dir
 from repro.service.http import preset_configs
 from repro.service.journal import Journal
 from repro.service.queue import JobQueue
-from repro.sim.serialization import config_to_dict
+from repro.sim.serialization import config_to_dict, result_to_dict
 
 N = 2000
 WL = "hmmer_like"
@@ -103,14 +103,14 @@ class TestDoneCachedJournal:
         job, _ = submit(queue)
         queue.complete_cached(
             job.job_id, summary={"ipc": 2.0},
-            provenance={"near_hit": True, "source_key": ["fp0", WL, 1000]},
+            provenance={"cache_hit": True, "key": ["fp0", WL, 50_000]},
         )
         queue.journal.close()
         replayed = make_queue(tmp_path)
         back = replayed.get(job.job_id)
         assert back.state == DONE
         assert back.cached is True
-        assert back.cache_provenance["near_hit"] is True
+        assert back.cache_provenance["cache_hit"] is True
         assert back.summary == {"ipc": 2.0}
         replayed.journal.close()
 
@@ -208,42 +208,28 @@ class TestDaemonCacheResolution:
         # fsck sees a complete state dir.
         assert check_state_dir(tmp_path / "svc2").ok
 
-    def test_near_hit_needs_opt_in_and_carries_provenance(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        warm = make_service(tmp_path / "warm", cache=cache)
-        _, _ = submit_preset(warm, n=N)
-        run_to_idle(warm)
-
-        # Without --cache-near a longer request is a plain miss.
-        strict = make_service(tmp_path / "strict", cache=cache)
-        job, _ = submit_preset(strict, n=2 * N)
-        assert job.state == PENDING
-
-        near = make_service(tmp_path / "near", cache=cache, cache_near=True)
-        est, _ = submit_preset(near, n=2 * N)
-        assert est.state == DONE and est.cached is True
-        prov = est.cache_provenance
-        assert prov["near_hit"] is True
-        assert prov["mode"] == "lower_n"
-        assert prov["requested_n_instrs"] == 2 * N
-        payload = near.result_payload(est)
-        assert payload["telemetry"]["cache"]["near_hit"] is True
-        assert payload["telemetry"]["cache"]["source_key"] == prov["source_key"]
-        # Near estimates never masquerade as checkpoints of the requested
-        # key — and fsck knows the exemption.
-        assert list((tmp_path / "near" / "ckpt").glob("*.json")) == []
-        assert check_state_dir(tmp_path / "near").ok
-        strict.queue.journal.close()
-        near.queue.journal.close()
-
-    def test_near_job_result_over_http(self, tmp_path):
+    def test_longer_request_is_a_plain_miss(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         warm = make_service(tmp_path / "warm", cache=cache)
         submit_preset(warm, n=N)
         run_to_idle(warm)
 
-        service = make_service(tmp_path / "svc", cache=cache, cache_near=True)
-        job, _ = submit_preset(service, n=2 * N)
+        # The same point at another length is a different key: it runs.
+        cold = make_service(tmp_path / "cold", cache=cache)
+        job, _ = submit_preset(cold, n=2 * N)
+        assert job.state == PENDING and job.cached is False
+        assert cache.stats.exact_hits == 0
+        cold.queue.journal.close()
+
+    def test_cached_job_result_over_http(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        warm = make_service(tmp_path / "warm", cache=cache)
+        first, _ = submit_preset(warm)
+        run_to_idle(warm)
+        measured = warm.result_payload(warm.queue.get(first.job_id))
+
+        service = make_service(tmp_path / "svc", cache=cache)
+        job, _ = submit_preset(service)
         server = make_server(service)
         serve_in_thread(server)
         host, port = server.server_address
@@ -261,8 +247,10 @@ class TestDaemonCacheResolution:
             server.server_close()
             service.queue.journal.close()
         assert body["cached"] is True
-        assert body["cache_provenance"]["near_hit"] is True
-        assert body["result"]["telemetry"]["cache"]["requested_n_instrs"] == 2 * N
+        assert body["cache_provenance"]["cache_hit"] is True
+        assert json.dumps(body["result"], sort_keys=True) == (
+            json.dumps(measured, sort_keys=True)
+        )
 
     def test_service_stats_and_gauges_expose_cache_counters(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -291,16 +279,43 @@ class TestFsckCacheAwareness:
         report = check_state_dir(tmp_path)
         assert any(f.code == "done-no-checkpoint" for f in report.errors)
 
-    def test_near_cached_done_without_checkpoint_is_exempt(self, tmp_path):
-        queue = make_queue(tmp_path)
-        job, _ = submit(queue)
-        queue.complete_cached(
-            job.job_id,
-            provenance={"near_hit": True, "source_key": ["fp0", WL, 1000]},
+    def test_old_near_cached_done_is_demoted_and_rerun_exactly(self, tmp_path):
+        # A journal written by an older daemon that served estimates: a
+        # done-cached job with near_hit provenance and no checkpoint.
+        state = tmp_path / "svc"
+        old = make_service(state)
+        job, _ = submit_preset(old)
+        old.queue.complete_cached(
+            job.job_id, summary={"ipc": 1.0, "cached": True},
+            provenance={
+                "near_hit": True, "mode": "lower_n",
+                "source_key": ["fp0", WL, N // 2],
+                "requested_n_instrs": N, "source_n_instrs": N // 2,
+            },
         )
-        queue.journal.close()
-        report = check_state_dir(tmp_path)
-        assert not any(f.code == "done-no-checkpoint" for f in report.errors)
+        old.queue.journal.close()
+
+        report = check_state_dir(state)
+        codes = [f.code for f in report.errors]
+        assert codes == ["done-no-checkpoint"]
+
+        repaired = repair_state_dir(state)
+        assert repaired.ok
+        assert any(f"demoted {job.job_id}" in r for r in repaired.repairs)
+
+        service = make_service(state)
+        demoted = service.queue.get(job.job_id)
+        assert demoted.state == PENDING
+        assert demoted.cached is False and demoted.cache_provenance is None
+        run_to_idle(service)
+        done = service.queue.get(job.job_id)
+        assert done.state == DONE and done.cached is False
+        config = preset_configs()["baseline_server"]
+        exact = ExperimentRunner(ResultStore()).run(config, WL, N)
+        assert json.dumps(service.result_payload(done), sort_keys=True) == (
+            json.dumps(result_to_dict(exact), sort_keys=True)
+        )
+        assert check_state_dir(state).ok
 
     def test_degraded_and_full_pair_is_not_a_dedup_duplicate(self, tmp_path):
         queue = make_queue(

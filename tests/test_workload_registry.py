@@ -10,6 +10,8 @@ behaviour of the checkpoint store and result cache.
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.plugins import WORKLOADS
@@ -37,6 +39,7 @@ from repro.workloads.serialization import (
     trace_to_dict,
 )
 from repro.workloads.suites import ST_SUITE, WorkloadSpec, build_trace, get_spec
+from repro.workloads.trace import Trace
 
 
 def _unregister(name: str) -> None:
@@ -197,6 +200,64 @@ class TestSerializationFormats:
         path.write_bytes(path.read_bytes()[:-20])
         with pytest.raises(ValueError, match="corrupt"):
             load_trace_bin(path)
+
+
+class TestMalformedTraces:
+    """Every malformed trace file is a ConfigError naming the file."""
+
+    @pytest.mark.parametrize("content", [
+        b"RTRC\x01",                                            # short header
+        b'{"format_version": 1, "kind": "trace-jsonl", "name": "t", '
+        b'"category": "server", "count": 1, "memory_image": []}\n5\n',
+        b'{"format_version": 1, "kind": "trace-jsonl"}\n',     # no count
+        b'[1, "trace-jsonl"]\n',                               # list header
+    ], ids=["rtrc-5-bytes", "jsonl-scalar-row", "jsonl-no-count",
+            "jsonl-list-header"])
+    def test_known_crashers(self, tmp_path, content):
+        path = tmp_path / "bad.trace"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match="bad.trace"):
+            load_trace_any(path)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(ConfigError, match="unreadable"):
+            load_trace_any(tmp_path / "absent.trace")
+
+    @pytest.fixture(scope="class")
+    def encoded(self, tmp_path_factory):
+        trace = build_trace("hmmer_like", 60)
+        root = tmp_path_factory.mktemp("encoded")
+        blobs = {}
+        for save in (save_trace, save_trace_jsonl, save_trace_bin):
+            path = root / save.__name__
+            save(trace, path)
+            blobs[save.__name__] = path.read_bytes()
+        return root, blobs
+
+    @given(
+        fmt=st.sampled_from(["save_trace", "save_trace_jsonl", "save_trace_bin"]),
+        cut=st.floats(0.0, 1.0),
+        flips=st.lists(
+            st.tuples(st.floats(0.0, 1.0), st.integers(1, 255)), max_size=4
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_truncated_or_flipped_is_loaded_or_config_error(
+        self, encoded, fmt, cut, flips
+    ):
+        root, blobs = encoded
+        blob = blobs[fmt]
+        data = bytearray(blob[:max(1, round(len(blob) * cut))])
+        for where, mask in flips:
+            data[min(len(data) - 1, int(len(data) * where))] ^= mask
+        path = root / f"fuzzed-{fmt}"
+        path.write_bytes(bytes(data))
+        try:
+            trace = load_trace_any(path)
+        except ConfigError as exc:
+            assert str(path) in str(exc)
+        else:
+            assert isinstance(trace, Trace)
 
 
 class TestIngestion:
