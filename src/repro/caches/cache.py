@@ -23,7 +23,8 @@ class CacheLine:
     dirty: bool = False
     prefetched: bool = False    #: filled by a prefetch, not yet demand-hit
     pc: int = -1                #: PC that caused the fill (for stats)
-    repl: int = 0               #: replacement policy metadata
+    repl: int = 0               #: replacement metadata (LIP, SRRIP, NRU,
+                                #: Random; LRU uses the set's dict order)
     src: int = 0                #: Level the fill came from (in-flight hits
                                 #: are attributed to this level, not L1)
 
@@ -221,10 +222,8 @@ class Cache:
                 stats.prefetch_unused += 1
             victim = (vtag, vline)
 
-        line = CacheLine(
-            tag=line_addr, ready=ready, dirty=dirty, prefetched=prefetched,
-            pc=pc, src=src,
-        )
+        # Positional: (tag, ready, dirty, prefetched, pc, repl, src).
+        line = CacheLine(line_addr, ready, dirty, prefetched, pc, 0, src)
         cache_set[line_addr] = line
         self.policy.on_fill(cache_set, line)
         stats.fills += 1

@@ -43,6 +43,9 @@ class Level(IntEnum):
     MEM = 3
 
 
+#: ``LEVELS[i] is Level(i)``, without an enum construction per in-flight hit.
+LEVELS = tuple(Level)
+
 #: Drop speculative DRAM reads once the data bus is booked this many cycles
 #: ahead (memory-controller prefetch throttling, cf. FDP [32]).
 PREFETCH_BACKLOG_LIMIT = 200
@@ -216,13 +219,6 @@ class CacheHierarchy:
             return self.latency_policy(pc, level, latency)
         return latency
 
-    @staticmethod
-    def _residual(line_ready: float, now: float, base: float) -> tuple[float, bool]:
-        """Latency for a (possibly in-flight) hit: ``max(base, ready - now)``."""
-        if line_ready > now:
-            return max(base, line_ready - now), True
-        return base, False
-
     # ------------------------------------------------------------ fill paths
 
     def _l1_fill(
@@ -232,7 +228,7 @@ class CacheHierarchy:
     ) -> None:
         """Fill into an L1 and handle its victim."""
         victim = l1.fill(
-            line_addr, ready, dirty=dirty, prefetched=prefetched, pc=pc, src=int(src)
+            line_addr, ready, dirty=dirty, prefetched=prefetched, pc=pc, src=src
         )
         if victim is None:
             return
@@ -328,15 +324,17 @@ class CacheHierarchy:
             l2 = self.l2[core]
             line = l2.access(line_addr, now)
             if line is not None:
-                lat, inflight = self._residual(line.ready, now, l2.latency)
-                return lat, Level.L2, inflight
+                # A hit pays the residual fill time if that is longer.
+                inflight = line.ready > now
+                return max(l2.latency, line.ready - now), Level.L2, inflight
         # LLC (over the ring)
         if self.llc is not None:
             self.ring.request(core, line_addr)
             line = self.llc.access(line_addr, now)
             if line is not None:
                 self.ring.data(core, line_addr)
-                lat, inflight = self._residual(line.ready, now, self.llc.latency)
+                inflight = line.ready > now
+                lat = max(self.llc.latency, line.ready - now)
                 ready = now + lat
                 if self.llc_policy == "exclusive" and self.l2 is not None:
                     # Exclusive: the line moves from the LLC into the L2.
@@ -375,7 +373,7 @@ class CacheHierarchy:
         l1 = self.l1d[core]
         line = l1.access(line_addr, now)
         if line is not None:
-            # _residual and _charge inlined: this is the per-load hot path.
+            # Residual latency and _charge inlined: this is the per-load hot path.
             lat = l1.latency
             ready = line.ready
             if ready > now:
@@ -385,7 +383,7 @@ class CacheHierarchy:
                     lat = resid
             else:
                 inflight = False
-            level = Level(line.src) if inflight and line.src else Level.L1
+            level = LEVELS[line.src] if inflight else Level.L1
             if self.latency_policy is not None:
                 lat = self.latency_policy(pc, level, lat)
             stats.load_served[level] += 1
@@ -409,8 +407,8 @@ class CacheHierarchy:
         l1 = self.l1d[core]
         line = l1.access(line_addr, now, write=True)
         if line is not None:
-            base, inflight = self._residual(line.ready, now, l1.latency)
-            return AccessResult(base, Level.L1, inflight)
+            inflight = line.ready > now
+            return AccessResult(max(l1.latency, line.ready - now), Level.L1, inflight)
         lat, level, inflight = self._outer_lookup(core, line_addr, now, code=False)
         self._l1_fill(l1, core, line_addr, now + lat, dirty=True, pc=pc, src=level)
         return AccessResult(lat, level, inflight)
@@ -420,10 +418,10 @@ class CacheHierarchy:
         l1i = self.l1i[core]
         line = l1i.access(code_line, now)
         if line is not None:
-            base, inflight = self._residual(line.ready, now, l1i.latency)
-            level = Level(line.src) if inflight and line.src else Level.L1
+            inflight = line.ready > now
+            level = LEVELS[line.src] if inflight else Level.L1
             self.stats[core].code_served[level] += 1
-            return AccessResult(base, level, inflight)
+            return AccessResult(max(l1i.latency, line.ready - now), level, inflight)
         lat, level, inflight = self._outer_lookup(core, code_line, now, code=True)
         self._l1_fill(l1i, core, code_line, now + lat, src=level)
         self.stats[core].code_served[level] += 1

@@ -87,7 +87,8 @@ class L1StridePrefetcher:
         if entry.last_addr >= 0:
             delta = addr - entry.last_addr
             if delta == entry.stride and delta != 0:
-                entry.confidence = min(entry.confidence + 1, 3)
+                if entry.confidence < 3:
+                    entry.confidence += 1
             else:
                 entry.stride = delta
                 entry.confidence = 0

@@ -1,12 +1,16 @@
 """Replacement policies for the set-associative cache model.
 
-Policies operate on one cache set at a time.  A set is an ordered mapping
-``tag -> CacheLine``; the policy maintains whatever per-line metadata it needs
-on the line's ``repl`` field and selects a victim when the set is full.
+Policies operate on one cache set at a time.  A set is an insertion-ordered
+``dict`` mapping ``tag -> CacheLine``; the policy maintains whatever per-line
+metadata it needs and selects a victim when the set is full.
 
-LRU is the baseline policy used throughout the paper's hierarchy.  SRRIP and
-NRU are provided for the design-space ablations (the paper cites RRIP-family
-work [18] as complementary), and Random is a useful degenerate reference.
+LRU is the baseline policy used throughout the paper's hierarchy.  It keeps
+no per-line metadata: the set's dict order *is* the recency order (a fill
+appends, a hit moves the line to the end), so the victim is the first key.
+LIP, SRRIP, NRU and Random keep theirs on the line's ``repl`` field.  SRRIP
+and NRU are provided for the design-space ablations (the paper cites
+RRIP-family work [18] as complementary), and Random is a useful degenerate
+reference.
 """
 
 from __future__ import annotations
@@ -34,7 +38,32 @@ class ReplacementPolicy(Protocol):
 
 
 class LRUPolicy:
-    """Least recently used: per-line monotonic timestamp."""
+    """Least recently used, kept as the set's dict order (oldest first).
+
+    Equivalent to a per-line timestamp that every fill and hit advances:
+    those stamps are unique and strictly increasing, so ordering lines by
+    last touch is the order they were last (re)inserted in the dict.
+    """
+
+    def on_fill(self, cache_set, line) -> None:
+        pass  # a fill appends the line: already most recently used
+
+    def on_hit(self, cache_set, line) -> None:
+        tag = line.tag
+        del cache_set[tag]
+        cache_set[tag] = line
+
+    def victim(self, cache_set) -> int:
+        return next(iter(cache_set))
+
+
+class MRUInsertLRUPolicy:
+    """LRU with insertion at LRU position (LIP) — thrash-resistant variant.
+
+    Keeps a per-line monotonic timestamp in ``repl``: a fill takes a stamp
+    older than everything resident, a hit the newest stamp.  Used by the
+    ablation benchmarks to show replacement policy is orthogonal to CATCH.
+    """
 
     def __init__(self) -> None:
         self._clock = 0
@@ -44,7 +73,11 @@ class LRUPolicy:
         return self._clock
 
     def on_fill(self, cache_set, line) -> None:
-        line.repl = self._tick()
+        # Insert at LRU: pick a timestamp older than everything resident.
+        if cache_set:
+            line.repl = min(entry.repl for entry in cache_set.values()) - 1
+        else:
+            line.repl = self._tick()
 
     def on_hit(self, cache_set, line) -> None:
         line.repl = self._tick()
@@ -61,21 +94,6 @@ class LRUPolicy:
                 best = repl
                 best_tag = tag
         return best_tag
-
-
-class MRUInsertLRUPolicy(LRUPolicy):
-    """LRU with insertion at LRU position (LIP) — thrash-resistant variant.
-
-    Used by the ablation benchmarks to show replacement policy is orthogonal
-    to CATCH.
-    """
-
-    def on_fill(self, cache_set, line) -> None:
-        # Insert at LRU: pick a timestamp older than everything resident.
-        if cache_set:
-            line.repl = min(entry.repl for entry in cache_set.values()) - 1
-        else:
-            line.repl = self._tick()
 
 
 class RandomPolicy:

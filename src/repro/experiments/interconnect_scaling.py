@@ -34,17 +34,6 @@ TOPOLOGIES = (
 )
 
 
-def _mean_hops(interconnect) -> float:
-    if isinstance(interconnect, MeshInterconnect):
-        return interconnect.mean_hops()
-    total = sum(
-        interconnect.hops(c, s)
-        for c in range(interconnect.n_cores)
-        for s in range(interconnect.n_slices)
-    )
-    return total / (interconnect.n_cores * interconnect.n_slices)
-
-
 def run(quick: bool = True, n_instrs: int | None = None) -> dict:
     n = resolve_params(quick, n_instrs)
     base = skylake_server()
@@ -55,10 +44,10 @@ def run(quick: bool = True, n_instrs: int | None = None) -> dict:
     catch_model = ChipModel(catch2)
 
     # Measured per-workload components on the 4-core-ring reference machine.
-    reference_hops = _mean_hops(RingInterconnect(4))
+    reference_hops = RingInterconnect(4).mean_hops()
     rows = {}
     for label, topo in TOPOLOGIES:
-        scale = _mean_hops(topo) / reference_hops
+        scale = topo.mean_hops() / reference_hops
         stops = topo.n_stops
         premium_num = 0.0
         premium_den = 0.0
@@ -79,7 +68,7 @@ def run(quick: bool = True, n_instrs: int | None = None) -> dict:
             premium_num += max(extra_ring, 0.0)
             premium_den += max(saved, 1e-15)
         rows[label] = {
-            "mean_hops": _mean_hops(topo),
+            "mean_hops": topo.mean_hops(),
             "interconnect_premium": premium_num / premium_den,
         }
     return {"experiment": "interconnect_scaling", "rows": rows}

@@ -1,6 +1,7 @@
 """On-die interconnect substrate: ring and mesh models with traffic accounting."""
 
+from .base import Interconnect, RingStats
 from .mesh import MeshInterconnect
-from .ring import RingInterconnect, RingStats
+from .ring import RingInterconnect
 
-__all__ = ["MeshInterconnect", "RingInterconnect", "RingStats"]
+__all__ = ["Interconnect", "MeshInterconnect", "RingInterconnect", "RingStats"]

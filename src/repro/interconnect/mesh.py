@@ -16,71 +16,29 @@ ring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .ring import RingStats
+from .base import Interconnect
 
 
-class MeshInterconnect:
+class MeshInterconnect(Interconnect):
     """Square 2D mesh with XY dimension-order routing.
 
     Stops 0..n_cores-1 are core tiles, the rest LLC slices; tiles are laid
-    out row-major over the smallest square grid that fits them.  The API
-    mirrors :class:`~repro.interconnect.ring.RingInterconnect` so either can
-    back a hierarchy.
+    out row-major over the smallest square grid that fits them.  Traffic is
+    priced as on :class:`~repro.interconnect.ring.RingInterconnect`, so
+    either can back a hierarchy.
     """
 
-    def __init__(
-        self,
-        n_cores: int,
-        n_slices: int | None = None,
-        hop_cycles: int = 1,
-        flits_per_data: int = 4,
-    ) -> None:
-        self.n_cores = n_cores
-        self.n_slices = n_slices if n_slices is not None else n_cores
-        self.hop_cycles = hop_cycles
-        self.flits_per_data = flits_per_data
-        self.n_stops = self.n_cores + self.n_slices
-        self.side = math.ceil(math.sqrt(self.n_stops))
-        self.stats = RingStats()
-
-    # -- topology -----------------------------------------------------------
+    @property
+    def side(self) -> int:
+        return math.ceil(math.sqrt(self.n_stops))
 
     def _coords(self, stop: int) -> tuple[int, int]:
-        return stop % self.side, stop // self.side
-
-    def slice_for(self, line_addr: int) -> int:
-        return line_addr % self.n_slices
+        side = self.side
+        return stop % side, stop // side
 
     def hops(self, core: int, slice_id: int) -> int:
         """Manhattan (XY-routed) distance between a core and a slice tile."""
         x0, y0 = self._coords(core)
         x1, y1 = self._coords(self.n_cores + slice_id)
         return abs(x1 - x0) + abs(y1 - y0)
-
-    def mean_hops(self) -> float:
-        """Average core->slice distance (grows ~ sqrt(n_stops))."""
-        total = sum(
-            self.hops(c, s) for c in range(self.n_cores) for s in range(self.n_slices)
-        )
-        return total / (self.n_cores * self.n_slices)
-
-    # -- traffic ---------------------------------------------------------------
-
-    def request(self, core: int, line_addr: int) -> int:
-        h = self.hops(core, self.slice_for(line_addr))
-        self.stats.messages += 1
-        self.stats.control_messages += 1
-        self.stats.flit_hops += h
-        return h * self.hop_cycles
-
-    def data(self, core: int, line_addr: int) -> int:
-        h = self.hops(core, self.slice_for(line_addr))
-        self.stats.messages += 1
-        self.stats.data_messages += 1
-        self.stats.flit_hops += h * self.flits_per_data
-        return h * self.hop_cycles
-
-    def round_trip(self, core: int, line_addr: int) -> int:
-        return self.request(core, line_addr) + self.data(core, line_addr)

@@ -79,6 +79,18 @@ class DRAM:
         self._write_queues: list[list[int]] = [[] for _ in range(cfg.channels)]
         self.stats = DRAMStats()
         self._lines_per_row = cfg.row_bytes // 64
+        # Timings in CPU cycles, computed once: ``(latency, occupancy)`` per
+        # row-buffer outcome, then tRAS, tRP and one data burst.
+        ratio = cfg.cycle_ratio
+        self.t_row_hit = (cfg.tcas * ratio, cfg.tccd * ratio)
+        self.t_row_empty = ((cfg.trcd + cfg.tcas) * ratio, (cfg.trcd + cfg.tccd) * ratio)
+        self.t_row_conflict = (
+            (cfg.trp + cfg.trcd + cfg.tcas) * ratio,
+            (cfg.trp + cfg.trcd + cfg.tccd) * ratio,
+        )
+        self.t_ras = cfg.tras * ratio
+        self.t_rp = cfg.trp * ratio
+        self.t_burst = cfg.burst_cycles * ratio
 
     # -- address mapping ----------------------------------------------------
 
@@ -99,9 +111,6 @@ class DRAM:
 
     # -- timing ---------------------------------------------------------------
 
-    def _cpu(self, dram_cycles: float) -> float:
-        return dram_cycles * self.config.cycle_ratio
-
     def _bank_access(self, bank: _Bank, row: int, start: float) -> tuple[float, float]:
         """Resolve row-buffer state at ``start``.
 
@@ -111,27 +120,26 @@ class DRAM:
         occupancy is far shorter than their latency; activates occupy the
         bank for the full RAS-to-CAS window.
         """
-        cfg = self.config
-        if bank.open_row == row:
-            self.stats.row_hits += 1
-            return self._cpu(cfg.tcas), self._cpu(cfg.tccd)
-        if bank.open_row == -1:
-            self.stats.row_empty += 1
-            self.stats.activations += 1
+        stats = self.stats
+        open_row = bank.open_row
+        if open_row == row:
+            stats.row_hits += 1
+            return self.t_row_hit
+        stats.activations += 1
+        if open_row == -1:
+            stats.row_empty += 1
             bank.open_row = row
             bank.activate_time = start
-            return self._cpu(cfg.trcd + cfg.tcas), self._cpu(cfg.trcd + cfg.tccd)
+            return self.t_row_empty
         # Row conflict: precharge may also have to wait out tRAS.
-        self.stats.row_conflicts += 1
-        self.stats.activations += 1
-        tras_done = bank.activate_time + self._cpu(cfg.tras)
+        stats.row_conflicts += 1
+        tras_done = bank.activate_time + self.t_ras
         precharge_start = max(start, tras_done)
         extra_wait = precharge_start - start
         bank.open_row = row
-        bank.activate_time = precharge_start + self._cpu(cfg.trp)
-        latency = extra_wait + self._cpu(cfg.trp + cfg.trcd + cfg.tcas)
-        occupancy = extra_wait + self._cpu(cfg.trp + cfg.trcd + cfg.tccd)
-        return latency, occupancy
+        bank.activate_time = precharge_start + self.t_rp
+        latency, occupancy = self.t_row_conflict
+        return extra_wait + latency, extra_wait + occupancy
 
     def read(self, line_addr: int, now: float) -> float:
         """Issue a read; returns total latency in CPU cycles from ``now``."""
@@ -143,8 +151,7 @@ class DRAM:
         start = max(now + cfg.controller_cycles, bank.busy_until)
         access, occupancy = self._bank_access(bank, row, start)
         data_start = max(start + access, self._bus_free[channel])
-        burst = self._cpu(cfg.burst_cycles)
-        done = data_start + burst
+        done = data_start + self.t_burst
         bank.busy_until = start + occupancy
         self._bus_free[channel] = done
         return done - now
@@ -168,15 +175,15 @@ class DRAM:
         writes opportunistically between reads, so charging full bank
         cascades here would penalise reads far beyond hardware behaviour.
         """
-        cfg = self.config
         self.stats.write_batches += 1
         queue = self._write_queues[channel]
         t = max(now, self._bus_free[channel])
+        burst = self.t_burst
         rows_touched = set()
         for line_addr in queue:
             _, bank_index, row = self.map_address(line_addr)
             rows_touched.add((bank_index, row))
-            t += self._cpu(cfg.burst_cycles)
+            t += burst
         self.stats.activations += len(rows_touched)
         self._bus_free[channel] = t
         queue.clear()

@@ -175,3 +175,50 @@ class TestController:
         m.write(0, 0.0)
         m.finish(1000.0)
         assert m.dram.pending_writes() == 0
+
+
+class TestPrecomputedTimings:
+    """The CPU-cycle timings are computed once; they must track the config."""
+
+    @pytest.mark.parametrize(
+        "cfg", [DRAMConfig(), DRAMConfig(cpu_clock_ghz=4.0, tcas=16)],
+        ids=["default", "4GHz-tcas16"],
+    )
+    def test_constants_follow_config(self, cfg):
+        d = DRAM(cfg)
+        r = cfg.cycle_ratio
+        assert d.t_row_hit == (cfg.tcas * r, cfg.tccd * r)
+        assert d.t_row_empty == ((cfg.trcd + cfg.tcas) * r, (cfg.trcd + cfg.tccd) * r)
+        assert d.t_row_conflict == (
+            (cfg.trp + cfg.trcd + cfg.tcas) * r,
+            (cfg.trp + cfg.trcd + cfg.tccd) * r,
+        )
+        assert d.t_ras == cfg.tras * r
+        assert d.t_rp == cfg.trp * r
+        assert d.t_burst == cfg.burst_cycles * r
+
+    @pytest.mark.parametrize(
+        "cfg", [DRAMConfig(), DRAMConfig(cpu_clock_ghz=4.0, tcas=16)],
+        ids=["default", "4GHz-tcas16"],
+    )
+    def test_row_empty_hit_conflict_latencies(self, cfg):
+        d = DRAM(cfg)
+        r = cfg.cycle_ratio
+        ctrl = cfg.controller_cycles
+        channel, bank, row = d.map_address(0)
+        same_row = next(
+            line for line in range(1, 64) if d.map_address(line) == (channel, bank, row)
+        )
+        other_row = next(
+            line for line in range(64, 1 << 20)
+            if d.map_address(line)[:2] == (channel, bank)
+            and d.map_address(line)[2] != row
+        )
+        # Reads far apart in time: no bank, bus or tRAS waits.
+        assert d.read(0, 0.0) == pytest.approx(ctrl + (cfg.trcd + cfg.tcas + cfg.burst_cycles) * r)
+        assert d.read(same_row, 1e4) == pytest.approx(ctrl + (cfg.tcas + cfg.burst_cycles) * r)
+        assert d.read(other_row, 2e4) == pytest.approx(
+            ctrl + (cfg.trp + cfg.trcd + cfg.tcas + cfg.burst_cycles) * r
+        )
+        assert (d.stats.row_empty, d.stats.row_hits, d.stats.row_conflicts) == (1, 1, 1)
+        assert d.stats.activations == 2
