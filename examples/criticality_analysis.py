@@ -16,7 +16,6 @@ from repro.caches.hierarchy import Level
 from repro.core.criticality import detector_area
 from repro.core.ddg import BufferedDDG
 from repro.core.oracle import profile_critical_pcs
-from repro.cpu.engine import RetireRecord
 from repro.sim import Simulator, skylake_server
 from repro.workloads.suites import build_trace, get_spec
 from repro.workloads.trace import Instr, Op
@@ -31,17 +30,8 @@ def figure2_example():
     g = BufferedDDG(rob_size=8)
 
     def add(idx, op, lat, producers=(), level=None, pc=0):
-        g.add(
-            RetireRecord(
-                idx=idx,
-                instr=Instr(pc, op, addr=idx * 64 if op is Op.LOAD else -1),
-                exec_lat=lat,
-                producers=producers,
-                level=level,
-                mispredicted=False,
-                e_time=0.0,
-            )
-        )
+        instr = Instr(pc, op, addr=idx * 64 if op is Op.LOAD else -1)
+        g.add(idx, instr, lat, producers, level, False)
 
     # As in Figure 2: three loads hit the L2; only the one feeding the long
     # dependent chain (0x20) is critical — the chain through it outweighs

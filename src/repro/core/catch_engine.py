@@ -14,11 +14,10 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from .. import obs
-from ..caches.hierarchy import AccessResult
-from ..cpu.engine import Engine, RetireRecord
-from ..workloads.trace import Instr
+from ..cpu.engine import Engine
 from .criticality import CriticalityDetector
 from .tact.coordinator import TACTConfig, TACTCoordinator
+from .tact.feeder import RegisterLoadTracker
 
 
 @dataclass(frozen=True)
@@ -77,6 +76,10 @@ class CatchEngine(Engine):
                 f"(the --detector none CLI path composes that for you)"
             )
         self.detector = spec.factory(core, cfg)
+        # The hooks are bound as instance attributes so the core calls
+        # straight into the detector and TACT; a hook left unbound stays the
+        # Engine no-op, which the span kernel skips.
+        tracker = None
         if not cfg.detector_only:
             self.tact = TACTCoordinator(
                 core_id,
@@ -86,23 +89,16 @@ class CatchEngine(Engine):
                 cfg.tact,
             )
             core.frontend.on_code_miss = self.tact.on_code_miss
-            # Flatten the per-instruction hook chains: bind the TACT entry
-            # points directly as instance attributes, shadowing the class
-            # methods, so the core dispatches straight into the coordinator
-            # instead of through a forwarding frame on every instruction.
             self.after_load = self.tact.on_load_execute
-            self.on_execute = self.tact.on_execute
+            tracker = self.tact.reg_tracker
         if isinstance(self.detector, CriticalityDetector):
-            # Same flattening for retire: graph.add + tick_retire without
-            # the CatchEngine.on_retire -> detector.on_retire frames.
-            graph_add = self.detector.graph.add
-            tick_retire = self.detector.table.tick_retire
-
-            def _retire(record, _add=graph_add, _tick=tick_retire):
-                _add(record)
-                _tick()
-
-            self.on_retire = _retire
+            # TACT's register tracking rides the retire hook, so a non-load
+            # instruction costs one engine call.
+            self.on_retire = _ddg_retire_hook(self.detector, tracker)
+        else:
+            self.on_retire = self.detector.on_retire
+            if self.tact is not None:
+                self.on_execute = self.tact.on_execute
         obs.metrics().register_provider(
             f"catch.core{core_id}", self._telemetry_snapshot
         )
@@ -127,22 +123,6 @@ class CatchEngine(Engine):
         if self.tact is not None:
             self.tact.set_trace(trace)
 
-    # --------------------------------------------------------------- hooks
-
-    def after_load(
-        self, instr: Instr, idx: int, now: float, result: AccessResult
-    ) -> None:
-        if self.tact is not None:
-            self.tact.on_load_execute(instr, idx, now, result)
-
-    def on_execute(self, instr: Instr, idx: int, now: float) -> None:
-        if self.tact is not None:
-            self.tact.on_execute(instr, idx, now)
-
-    def on_retire(self, record: RetireRecord) -> None:
-        assert self.detector is not None, "engine not attached"
-        self.detector.on_retire(record)
-
     # ---------------------------------------------------------------- stats
 
     def reset_stats(self) -> None:
@@ -156,3 +136,48 @@ class CatchEngine(Engine):
     @property
     def critical_pcs(self) -> int:
         return self.detector.table.critical_count() if self.detector else 0
+
+
+def _ddg_retire_hook(
+    detector: CriticalityDetector, tracker: RegisterLoadTracker | None
+):
+    """The retire hook of a DDG-driven engine, as one closure.
+
+    Does what ``detector.on_retire`` and ``TACTCoordinator.on_execute`` do,
+    in the same order the core would call them: the tracker update (which
+    nothing reads between execute and retire), then ``graph.add``, then the
+    epoch countdown, batched into one
+    :meth:`~repro.core.critical_table.CriticalLoadTable.tick_retire` call
+    on the retire that completes the epoch.  ``level`` is not ``None``
+    exactly for loads (the engine hook contract).
+    """
+    add = detector.graph.add
+    table = detector.table
+    tick = table.tick_retire
+    left = table.retires_to_epoch()
+    reg_pc, reg_idx = tracker.registers() if tracker is not None else (None, None)
+
+    def on_retire(idx, instr, exec_lat, producers, level, mispredicted, e_time):
+        nonlocal left
+        dst = instr.dst
+        if dst >= 0 and reg_pc is not None:
+            if level is not None:  # RegisterLoadTracker.on_load
+                reg_pc[dst] = instr.pc
+                reg_idx[dst] = idx
+            else:  # RegisterLoadTracker.on_other
+                best_pc = -1
+                best_idx = -1
+                for src in instr.srcs:
+                    cand_idx = reg_idx[src]
+                    if cand_idx > best_idx:
+                        best_idx = cand_idx
+                        best_pc = reg_pc[src]
+                reg_pc[dst] = best_pc
+                reg_idx[dst] = best_idx
+        add(idx, instr, exec_lat, producers, level, mispredicted)
+        left -= 1
+        if left <= 0:
+            tick(table.retires_to_epoch())
+            left = table.retires_to_epoch()
+
+    return on_retire

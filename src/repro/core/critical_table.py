@@ -119,7 +119,12 @@ class CriticalLoadTable:
         self.stats.inserts += 1
 
     def tick_retire(self, count: int = 1) -> None:
-        """Advance the retire counter; applies the 100K-instruction epoch."""
+        """Advance the retire counter; applies the 100K-instruction epoch.
+
+        Retires may be batched: a caller that counts them itself calls this
+        once with ``count`` = :meth:`retires_to_epoch` on the retire that
+        completes the epoch, and the reset fires at the same instruction.
+        """
         self._retired_in_epoch += count
         if self._retired_in_epoch >= self.epoch_instructions:
             self._retired_in_epoch = 0
@@ -131,7 +136,21 @@ class CriticalLoadTable:
                     if self.policy == "lfu":
                         entry.hits >>= 1  # frequency decay per epoch
 
+    def retires_to_epoch(self) -> int:
+        """Retired instructions left until the next epoch reset fires."""
+        return self.epoch_instructions - self._retired_in_epoch
+
     # ------------------------------------------------------------- queries
+
+    def slot(self, pc: int) -> tuple[dict[int, _Entry], int]:
+        """The set ``pc`` maps to and its hash there.
+
+        Both are fixed for the table's lifetime, so a per-PC memo of the
+        slot answers :meth:`is_critical` with one dict probe:
+        ``entries.get(h)`` then the confidence check.
+        """
+        h = hash_pc(pc)
+        return self._set_for(h), h
 
     def is_critical(self, pc: int) -> bool:
         """True while the PC is resident with saturated confidence."""

@@ -12,7 +12,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 from ..caches.hierarchy import Level
-from ..cpu.engine import RetireRecord
 from .critical_table import CriticalLoadTable, table_area_bytes
 from .ddg import BufferedDDG, CriticalLoad, graph_area_bytes
 
@@ -64,9 +63,12 @@ class CriticalityDetector:
 
     # ------------------------------------------------------------- interface
 
-    def on_retire(self, record: RetireRecord) -> None:
-        """Feed one retired instruction (call in retire order)."""
-        self.graph.add(record)
+    def on_retire(
+        self, idx, instr, exec_lat, producers, level, mispredicted, e_time
+    ) -> None:
+        """Feed one retired instruction (call in retire order); the fields
+        are those of :meth:`repro.cpu.engine.Engine.on_retire`."""
+        self.graph.add(idx, instr, exec_lat, producers, level, mispredicted)
         self.table.tick_retire()
 
     def is_critical(self, pc: int) -> bool:

@@ -13,10 +13,16 @@ E-C (execution latency), C-C (in-order commit) and E-D (bad speculation).
 
 The longest D(first)->C(last) path is found *incrementally*: when an
 instruction retires, each of its nodes takes the incoming edge that maximises
-its distance from the start of the buffered graph, storing that distance
-(``node cost``) and the chosen edge (``prev``).  Once ``2 x ROB``
-instructions are buffered, enumerating the critical path is a simple
-backwards walk over ``prev`` pointers — no depth-first search.
+its distance from the start of the buffered graph and stores that distance
+(``node cost``).  The hardware also stores the chosen edge (``prev``) so
+that, once ``2 x ROB`` instructions are buffered, enumerating the critical
+path is a simple backwards walk — no depth-first search.  This model stores
+only the costs (columnar, per buffer position) and recomputes the chosen
+edge at walk time for the nodes on the path, with the same strict-``>``
+order :meth:`BufferedDDG.add` uses; the walked path is the one the prev
+pointers would give, at a fraction of the per-instruction cost.  The Table I
+area is unchanged: :func:`graph_area_bytes` charges the hardware's
+per-instruction storage, not this model's columns.
 
 As in the hardware proposal, execution latencies are quantised (divided by 8,
 5-bit saturating) before being stored as edge weights.  The *hardware* buffer
@@ -26,9 +32,8 @@ buffer never holds more than ``walk_window`` entries and the extra headroom
 exists only in the area accounting (:attr:`BufferedDDG.capacity`,
 :func:`graph_area_bytes`), never as a model-visible overflow path.
 
-The node buffer is preallocated at ``walk_window`` entries and reused across
-windows — the detector runs once per retired instruction, and per-node
-allocation dominated its profile.
+The columns are preallocated at ``walk_window`` entries and reused across
+windows — the detector runs once per retired instruction.
 
 Area accounting for Table I is provided by :func:`graph_area_bytes`.
 """
@@ -38,7 +43,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 
-from ..cpu.engine import RetireRecord
+from ..caches.hierarchy import Level
+from ..workloads.trace import Instr
 
 #: Execution latencies are stored quantised: ``min(31, lat >> 3)`` (5-bit
 #: saturating counter of 8-cycle units), per Section IV-A.
@@ -68,28 +74,6 @@ class CriticalLoad:
     pc: int
     level: int      #: ``caches.Level`` value at which the load was served
     idx: int        #: dynamic instruction index
-
-
-@dataclass(slots=True)
-class _Node:
-    """Buffered graph entry for one instruction (all three nodes)."""
-
-    idx: int
-    pc: int
-    is_load: bool
-    level: int            #: serving level for loads (-1 otherwise)
-    lat_q: int            #: quantised execution latency
-    d_cost: int = 0
-    e_cost: int = 0
-    c_cost: int = 0
-    # prev pointers: local buffer position of the predecessor instruction and
-    # which of its nodes the max-cost edge came from (NodeKind); -1 = source.
-    d_prev: int = -1
-    d_prev_kind: int = -1
-    e_prev: int = -1
-    e_prev_kind: int = -1
-    c_prev: int = -1
-    c_prev_kind: int = -1
 
 
 @dataclass(slots=True)
@@ -127,108 +111,102 @@ class BufferedDDG:
         self.capacity = int(2.5 * rob_size)
         self.rename_latency = rename_latency
         self.on_walk = on_walk
-        self.stats = DDGStats()
-        # Preallocated node pool, reused window after window; only the first
-        # _count entries are live.
-        self._buffer: list[_Node] = [
-            _Node(0, 0, False, -1, 0) for _ in range(self.walk_window)
-        ]
+        self._stats = DDGStats()
+        # Columnar window, preallocated at walk_window entries and reused
+        # window after window; only the first _count positions are live.
+        # Per position: the instruction, its serving level (None unless a
+        # load), quantised execution latency in cycles (E-C and E-E edge
+        # weight), the three node costs, and the producer indices.
+        n = self.walk_window
+        self._instr: list = [None] * n
+        self._level: list = [None] * n
+        self._lat: list[int] = [0] * n
+        self._d: list[int] = [0] * n
+        self._e: list[int] = [0] * n
+        self._c: list[int] = [0] * n
+        self._producers: list = [()] * n
+        #: Positions of mispredicted branches (sources of E-D edges).
+        self._mispredicted: set[int] = set()
         self._count = 0
-        #: dynamic idx of the first instruction in the buffer
+        #: instructions buffered before this window: the dynamic idx of the
+        #: first buffered instruction, as the retire stream numbers from 0
         self._base_idx = 0
-        self._pending_espec_cost = -1  #: E-D edge: cost at which fetch resumes
 
     # ------------------------------------------------------------------ add
 
-    def add(self, record: RetireRecord) -> list[CriticalLoad] | None:
+    def add(
+        self,
+        idx: int,
+        instr: Instr,
+        exec_lat: float,
+        producers: tuple[int, ...],
+        level: Level | None,
+        mispredicted: bool,
+    ) -> list[CriticalLoad] | None:
         """Buffer one retired instruction; returns walk results when a walk
-        completes, else ``None``."""
-        stats = self.stats
-        stats.retired += 1
-        buf = self._buffer
+        completes, else ``None``.
+
+        The fields are those of :meth:`repro.cpu.engine.Engine.on_retire`.
+        Each node takes the maximum-cost incoming edge (strict ``>``, in the
+        order D-D, C-D, E-D; D-E, then producers in order; E-C, C-C); only
+        the costs are stored, and :meth:`walk` recomputes the chosen edge for
+        the nodes on the critical path.
+        """
         pos = self._count
-        instr = record.instr
-        level = record.level
-        node = buf[pos]
-        node.idx = record.idx
-        node.pc = instr.pc
-        if level is not None:
-            node.is_load = True
-            node.level = int(level)
-        else:
-            node.is_load = False
-            node.level = -1
-        lat_q = int(record.exec_lat) >> QUANT_SHIFT  # quantize_latency inline
+        self._instr[pos] = instr
+        self._level[pos] = level
+        self._producers[pos] = producers
+        lat_q = int(exec_lat) >> QUANT_SHIFT  # quantize_latency inline
         if lat_q > QUANT_MAX:
             lat_q = QUANT_MAX
-        node.lat_q = lat_q
+        exec_cycles = lat_q << QUANT_SHIFT
+        lat_col = self._lat
+        lat_col[pos] = exec_cycles
+        d_col = self._d
+        e_col = self._e
+        c_col = self._c
 
         # ---- D node: D-D, C-D, E-D incoming edges ------------------------
-        if pos > 0:
-            d_cost = buf[pos - 1].d_cost       # D-D, weight 0
-            d_prev = pos - 1
-            d_prev_kind = 0                    # NodeKind.D
+        if pos:
+            d_cost = d_col[pos - 1]            # D-D, weight 0
+            rob_pos = pos - self.rob_size
+            if rob_pos >= 0:
+                cost = c_col[rob_pos]
+                if cost > d_cost:
+                    d_cost = cost              # C-D, weight 0
+            if pos - 1 in self._mispredicted:
+                cost = e_col[pos - 1] + lat_col[pos - 1]
+                if cost > d_cost:
+                    d_cost = cost              # E-D (bad speculation)
         else:
             d_cost = 0
-            d_prev = -1
-            d_prev_kind = -1
-        rob_pos = pos - self.rob_size
-        if rob_pos >= 0:
-            c_cost = buf[rob_pos].c_cost
-            if c_cost > d_cost:
-                d_cost = c_cost               # C-D, weight 0
-                d_prev = rob_pos
-                d_prev_kind = 2                # NodeKind.C
-        pending = self._pending_espec_cost
-        if pending > d_cost and pos > 0:
-            d_cost = pending                   # E-D (bad speculation)
-            d_prev = pos - 1
-            d_prev_kind = 1                    # NodeKind.E
-        self._pending_espec_cost = -1
-        node.d_cost = d_cost
-        node.d_prev = d_prev
-        node.d_prev_kind = d_prev_kind
+        d_col[pos] = d_cost
 
         # ---- E node: D-E and E-E incoming edges ---------------------------
         e_cost = d_cost + self.rename_latency
-        e_prev = pos
-        e_prev_kind = 0                        # NodeKind.D
-        base_idx = self._base_idx
-        for producer_idx in record.producers:
-            ppos = producer_idx - base_idx
-            if ppos < 0 or ppos >= pos:
-                continue  # producer retired before this buffer window
-            p = buf[ppos]
-            cost = p.e_cost + (p.lat_q << QUANT_SHIFT)
-            if cost > e_cost:
-                e_cost = cost
-                e_prev = ppos
-                e_prev_kind = 1                # NodeKind.E
-        node.e_cost = e_cost
-        node.e_prev = e_prev
-        node.e_prev_kind = e_prev_kind
+        if producers:
+            base_idx = self._base_idx
+            for producer_idx in producers:
+                ppos = producer_idx - base_idx
+                # a producer outside [0, pos) retired before this window
+                if 0 <= ppos < pos:
+                    cost = e_col[ppos] + lat_col[ppos]
+                    if cost > e_cost:
+                        e_cost = cost
+        e_col[pos] = e_cost
 
         # ---- C node: E-C and C-C incoming edges ---------------------------
-        exec_cycles = lat_q << QUANT_SHIFT
         c_cost = e_cost + exec_cycles
-        c_prev = pos
-        c_prev_kind = 1                        # NodeKind.E
-        if pos > 0:
-            prev_c = buf[pos - 1].c_cost
+        if mispredicted:
+            self._mispredicted.add(pos)
+        if pos:
+            prev_c = c_col[pos - 1]
             if prev_c > c_cost:
                 c_cost = prev_c                # C-C, weight 0
-                c_prev = pos - 1
-                c_prev_kind = 2                # NodeKind.C
-        node.c_cost = c_cost
-        node.c_prev = c_prev
-        node.c_prev_kind = c_prev_kind
-
-        if record.mispredicted:
-            self._pending_espec_cost = e_cost + exec_cycles
+        c_col[pos] = c_cost
 
         pos += 1
         self._count = pos
-
         if pos >= self.walk_window:
             result = self.walk()
             self._flush()
@@ -242,47 +220,117 @@ class BufferedDDG:
 
         Returns the load E-nodes found on the path (most recent first).
         """
-        count = self._count
-        if not count:
+        if not self._count:
             return []
-        buf = self._buffer
-        self.stats.walks += 1
+        path = self.critical_path()
+        level_col = self._level
+        instr_col = self._instr
+        base_idx = self._base_idx
         found: list[CriticalLoad] = []
-        pos = count - 1
-        kind = 2  # NodeKind.C
-        steps = 0
-        limit = 3 * count
-        while pos >= 0 and steps < limit:
-            steps += 1
-            node = buf[pos]
-            if kind == 2:
-                nxt, nxt_kind = node.c_prev, node.c_prev_kind
-            elif kind == 1:
-                if node.is_load:
+        for pos, kind in path:
+            if kind == 1:
+                level = level_col[pos]
+                if level is not None:
                     found.append(
-                        CriticalLoad(pc=node.pc, level=node.level, idx=node.idx)
+                        CriticalLoad(
+                            pc=instr_col[pos].pc,
+                            level=int(level),
+                            idx=base_idx + pos,
+                        )
                     )
-                nxt, nxt_kind = node.e_prev, node.e_prev_kind
-            else:
-                nxt, nxt_kind = node.d_prev, node.d_prev_kind
-            if nxt < 0:
-                break
-            pos, kind = nxt, nxt_kind
-        self.stats.critical_path_nodes += steps
-        self.stats.critical_loads_seen += len(found)
+        stats = self._stats
+        stats.walks += 1
+        stats.critical_path_nodes += len(path)
+        stats.critical_loads_seen += len(found)
         if self.on_walk is not None:
             self.on_walk(found)
         return found
+
+    def critical_path(self) -> list[tuple[int, int]]:
+        """The critical path as ``(buffer position, NodeKind)`` nodes, from
+        C of the last buffered instruction back to D of the first (empty
+        when nothing is buffered).
+
+        At each node the incoming edge that :meth:`add` chose is recomputed
+        from the stored costs, with the same strict-``>`` order, so this is
+        the path the hardware's prev pointers would record.
+        """
+        if not self._count:
+            return []
+        d_col = self._d
+        e_col = self._e
+        c_col = self._c
+        lat_col = self._lat
+        rob_size = self.rob_size
+        rename_latency = self.rename_latency
+        base_idx = self._base_idx
+        mispredicted = self._mispredicted
+        path: list[tuple[int, int]] = []
+        append = path.append
+        pos = self._count - 1
+        kind = 2  # NodeKind.C
+        # Every step moves to an earlier node (a lower position, or D before
+        # E before C at one position), so the walk ends at D of position 0.
+        while True:
+            append((pos, kind))
+            if kind == 2:
+                # E-C, unless C-C from the previous instruction is heavier.
+                if pos and c_col[pos - 1] > e_col[pos] + lat_col[pos]:
+                    pos -= 1
+                else:
+                    kind = 1
+            elif kind == 1:
+                # D-E, unless a producer's E-E edge is heavier.
+                best = d_col[pos] + rename_latency
+                nxt = pos
+                for producer_idx in self._producers[pos]:
+                    ppos = producer_idx - base_idx
+                    if 0 <= ppos < pos:
+                        cost = e_col[ppos] + lat_col[ppos]
+                        if cost > best:
+                            best = cost
+                            nxt = ppos
+                if nxt == pos:
+                    kind = 0
+                else:
+                    pos = nxt
+            elif pos:
+                # D-D, unless C-D (ROB full) or E-D (mispredict) is heavier.
+                best = d_col[pos - 1]
+                nxt, nxt_kind = pos - 1, 0
+                rob_pos = pos - rob_size
+                if rob_pos >= 0 and c_col[rob_pos] > best:
+                    best = c_col[rob_pos]
+                    nxt, nxt_kind = rob_pos, 2
+                if pos - 1 in mispredicted:
+                    cost = e_col[pos - 1] + lat_col[pos - 1]
+                    if cost > best:
+                        nxt, nxt_kind = pos - 1, 1
+                pos, kind = nxt, nxt_kind
+            else:
+                break  # D of the first instruction: the source
+        return path
 
     def _flush(self) -> None:
         """Discard the buffered window ("reset the read pointer")."""
         self._base_idx += self._count
         self._count = 0
-        self._pending_espec_cost = -1
+        self._mispredicted.clear()
+
+    @property
+    def stats(self) -> DDGStats:
+        """Detector counters; ``retired`` is every instruction buffered so
+        far (all flushed windows plus the live one)."""
+        self._stats.retired = self._base_idx + self._count
+        return self._stats
 
     @property
     def buffered(self) -> int:
         return self._count
+
+    def node_costs(self, pos: int) -> tuple[int, int, int]:
+        """``(D, E, C)`` costs of the instruction at buffer position ``pos``."""
+        return self._d[pos], self._e[pos], self._c[pos]
 
 
 def graph_area_bytes(rob_size: int = 224) -> dict[str, float]:

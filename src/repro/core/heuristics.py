@@ -35,7 +35,6 @@ from __future__ import annotations
 from collections import Counter
 
 from ..caches.hierarchy import Level
-from ..cpu.engine import RetireRecord
 from ..workloads.trace import NUM_ARCH_REGS, Op
 from .critical_table import CriticalLoadTable
 
@@ -55,11 +54,11 @@ class _HeuristicBase:
         self.critical_pc_counts: Counter[int] = Counter()
         self.flagged = 0
 
-    def _flag(self, record: RetireRecord) -> None:
+    def _flag(self, pc: int, level: Level | None) -> None:
         self.flagged += 1
-        self.critical_pc_counts[record.instr.pc] += 1
-        if record.level in RECORD_LEVELS:
-            self.table.observe_critical(record.instr.pc)
+        self.critical_pc_counts[pc] += 1
+        if level in RECORD_LEVELS:
+            self.table.observe_critical(pc)
 
     def is_critical(self, pc: int) -> bool:
         return self.table.is_critical(pc)
@@ -70,7 +69,11 @@ class _HeuristicBase:
     def top_critical_pcs(self, n: int) -> list[int]:
         return [pc for pc, _ in self.critical_pc_counts.most_common(n)]
 
-    def on_retire(self, record: RetireRecord) -> None:  # pragma: no cover
+    def on_retire(
+        self, idx, instr, exec_lat, producers, level, mispredicted, e_time
+    ) -> None:  # pragma: no cover
+        """Feed one retired instruction; the fields are those of
+        :meth:`repro.cpu.engine.Engine.on_retire`."""
         raise NotImplementedError
 
 
@@ -88,10 +91,12 @@ class OldestInROBHeuristic(_HeuristicBase):
         self.slack = slack
         self._prev_commit = 0.0
 
-    def on_retire(self, record: RetireRecord) -> None:
-        finish = record.e_time + record.exec_lat
-        if record.instr.op is Op.LOAD and finish > self._prev_commit + self.slack:
-            self._flag(record)
+    def on_retire(
+        self, idx, instr, exec_lat, producers, level, mispredicted, e_time
+    ) -> None:
+        finish = e_time + exec_lat
+        if instr.op is Op.LOAD and finish > self._prev_commit + self.slack:
+            self._flag(instr.pc, level)
         self._prev_commit = max(self._prev_commit, finish)
         self.table.tick_retire()
 
@@ -112,19 +117,22 @@ class ConsumerCountHeuristic(_HeuristicBase):
     def __init__(self, threshold: int = 1, **kw):
         super().__init__(**kw)
         self.threshold = threshold
-        self._inflight: dict[int, tuple[RetireRecord, int]] = {}
+        #: load idx -> (pc, serving level, consumers seen)
+        self._inflight: dict[int, tuple[int, Level | None, int]] = {}
 
-    def on_retire(self, record: RetireRecord) -> None:
-        for producer in record.producers:
+    def on_retire(
+        self, idx, instr, exec_lat, producers, level, mispredicted, e_time
+    ) -> None:
+        for producer in producers:
             entry = self._inflight.get(producer)
             if entry is not None:
-                rec, count = entry
+                pc, lvl, count = entry
                 count += 1
                 if count == self.threshold:
-                    self._flag(rec)
-                self._inflight[producer] = (rec, count)
-        if record.instr.op is Op.LOAD:
-            self._inflight[record.idx] = (record, 0)
+                    self._flag(pc, lvl)
+                self._inflight[producer] = (pc, lvl, count)
+        if instr.op is Op.LOAD:
+            self._inflight[idx] = (instr.pc, level, 0)
             if len(self._inflight) > self.WINDOW:
                 self._inflight.pop(next(iter(self._inflight)))
         self.table.tick_retire()
@@ -143,12 +151,14 @@ class BranchFeederHeuristic(_HeuristicBase):
     def __init__(self, **kw):
         super().__init__(**kw)
         self._youngest: list[tuple[int, int] | None] = [None] * NUM_ARCH_REGS
-        self._records: dict[int, RetireRecord] = {}
+        #: load idx -> (pc, serving level)
+        self._records: dict[int, tuple[int, Level | None]] = {}
         self._cap = 512
 
-    def on_retire(self, record: RetireRecord) -> None:
-        instr = record.instr
-        if instr.op is Op.BRANCH and record.mispredicted:
+    def on_retire(
+        self, idx, instr, exec_lat, producers, level, mispredicted, e_time
+    ) -> None:
+        if instr.op is Op.BRANCH and mispredicted:
             best = None
             for src in instr.srcs:
                 cand = self._youngest[src]
@@ -157,11 +167,11 @@ class BranchFeederHeuristic(_HeuristicBase):
             if best is not None:
                 feeder = self._records.get(best[1])
                 if feeder is not None:
-                    self._flag(feeder)
+                    self._flag(*feeder)
         if instr.dst >= 0:
             if instr.op is Op.LOAD:
-                self._youngest[instr.dst] = (instr.pc, record.idx)
-                self._records[record.idx] = record
+                self._youngest[instr.dst] = (instr.pc, idx)
+                self._records[idx] = (instr.pc, level)
                 if len(self._records) > self._cap:
                     self._records.pop(next(iter(self._records)))
             else:
@@ -184,13 +194,11 @@ class LoadMissPCHeuristic(_HeuristicBase):
     worth relative to raw miss information the cache already has.
     """
 
-    def on_retire(self, record: RetireRecord) -> None:
-        if (
-            record.instr.op is Op.LOAD
-            and record.level is not None
-            and record.level is not Level.L1
-        ):
-            self._flag(record)
+    def on_retire(
+        self, idx, instr, exec_lat, producers, level, mispredicted, e_time
+    ) -> None:
+        if instr.op is Op.LOAD and level is not None and level is not Level.L1:
+            self._flag(instr.pc, level)
         self.table.tick_retire()
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from ..caches.hierarchy import Level
 from ..cpu.core import CoreParams, OOOCore
-from ..cpu.engine import Engine, RetireRecord
+from ..cpu.engine import Engine
 from ..workloads.trace import Instr, Op, Trace
 from .catch_engine import CatchConfig, CatchEngine
 
@@ -93,8 +93,9 @@ class OracleDetector:
         self.critical_pc_counts: Counter[int] = Counter()
         self.flagged = 0
 
-    def on_retire(self, record: RetireRecord) -> None:
-        instr = record.instr
+    def on_retire(
+        self, idx, instr, exec_lat, producers, level, mispredicted, e_time
+    ) -> None:
         if instr.op is Op.LOAD and instr.pc in self.pcs:
             self.flagged += 1
             self.critical_pc_counts[instr.pc] += 1

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 from ...caches.hierarchy import AccessResult, CacheHierarchy, Level
 from ...workloads.trace import LINE_SHIFT, Instr, Op
+from ..critical_table import CONFIDENCE_MAX, CriticalLoadTable
 from ..criticality import CriticalityDetector
 from .code import CodePrefetcher
 from .cross import CrossState
@@ -186,6 +187,17 @@ class TACTCoordinator:
         self._inflight: dict[int, tuple[Level, float]] = {}
         self._memory_image: dict[int, int] = {}
         self._clock = 0
+        # TACT trains on the loads the detector's table reports critical.  A
+        # CriticalLoadTable is probed directly, through a per-PC memo of the
+        # slot the PC hashes to (bounded by the static load PCs); any other
+        # table answers through its own is_critical.
+        table = detector.table
+        if isinstance(table, CriticalLoadTable):
+            self._table_slot = table.slot
+            self._is_critical = None
+        else:
+            self._is_critical = table.is_critical
+        self._crit_slots: dict[int, tuple[dict, int]] = {}
 
     # ------------------------------------------------------------- plumbing
 
@@ -274,8 +286,10 @@ class TACTCoordinator:
         addr = instr.addr
         self._clock += 1
 
-        self._record_timeliness(instr, result)
+        if self._inflight:
+            self._record_timeliness(instr, result)
         self.trigger_cache.observe(pc, addr)
+        hist = self._pc_hist.get(pc)
 
         # ---- fire: this load is a learned CROSS trigger -------------------
         if cfg.enable_cross:
@@ -294,18 +308,17 @@ class TACTCoordinator:
             # observes for namd/gromacs: the prefetch starts exactly when the
             # dependent demand would.)
             data_time = now + result.latency
-            hist_self = self._pc_hist.get(pc)
             for target_pc in self._feeders.get(pc, ()):
                 state = self._targets.get(target_pc)
                 if state is None or not state.feeder.learned:
                     continue
                 issued_deep = False
-                if hist_self is not None and hist_self.stride_conf >= 2:
+                if hist is not None and hist.stride_conf >= 2:
                     # TACT deep-prefetches the feeder itself (distance <= 4);
                     # the prefetched feeder line's data then triggers the
                     # target prefetch.  Reading the future value from the
                     # memory image is exactly reading the prefetched line.
-                    future_addr = addr + hist_self.stride * cfg.feeder_distance
+                    future_addr = addr + hist.stride * cfg.feeder_distance
                     self._issue(future_addr, now, "feeder_prefetches")
                     data = self._memory_image.get(future_addr)
                     if data is not None:
@@ -319,7 +332,16 @@ class TACTCoordinator:
                         self._issue(predicted, data_time, "feeder_prefetches")
 
         # ---- train: this load is a critical target --------------------------
-        if self.detector.is_critical(pc):
+        is_critical = self._is_critical
+        if is_critical is None:  # one probe of the CriticalLoadTable
+            slot = self._crit_slots.get(pc)
+            if slot is None:
+                slot = self._crit_slots[pc] = self._table_slot(pc)
+            entry = slot[0].get(slot[1])
+            critical = entry is not None and entry.confidence >= CONFIDENCE_MAX
+        else:
+            critical = is_critical(pc)
+        if critical:
             state = self._target(pc)
             if cfg.enable_cross and not state.cross.learned:
                 state.cross.refresh_candidates(
@@ -350,7 +372,9 @@ class TACTCoordinator:
                         ).add(pc)
 
         # ---- history update (after training uses the *previous* values) ----
-        self._history(pc).observe(addr, instr.data)
+        if hist is None:
+            hist = self._history(pc)
+        hist.observe(addr, instr.data)
 
     def on_execute(self, instr: Instr, idx: int, now: float) -> None:
         """Register propagation for feeder identification (every instr)."""

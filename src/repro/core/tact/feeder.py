@@ -44,6 +44,11 @@ class RegisterLoadTracker:
         self._pc = [-1] * NUM_ARCH_REGS
         self._idx = [-1] * NUM_ARCH_REGS
 
+    def registers(self) -> tuple[list[int], list[int]]:
+        """The per-register ``(pc, idx)`` arrays, for callers that fold the
+        :meth:`on_load`/:meth:`on_other` updates into their own loop."""
+        return self._pc, self._idx
+
     def on_load(self, pc: int, idx: int, dst: int) -> None:
         if dst >= 0:
             self._pc[dst] = pc
@@ -80,7 +85,8 @@ class RegisterLoadTracker:
 
 @dataclass(slots=True)
 class _ScaleLearn:
-    last_base: int = -1
+    #: ``None`` until the first pair: any int, -1 included, is a valid base.
+    last_base: int | None = None
     conf: int = 0
 
 

@@ -2,7 +2,7 @@
 
 from .branch import BranchStats, GshareBranchPredictor
 from .core import CoreParams, CoreResult, OOOCore
-from .engine import Engine, RetireRecord
+from .engine import Engine
 from .frontend import FrontEnd
 
 __all__ = [
@@ -12,6 +12,5 @@ __all__ = [
     "CoreResult",
     "OOOCore",
     "Engine",
-    "RetireRecord",
     "FrontEnd",
 ]

@@ -37,7 +37,7 @@ from ..workloads.trace import (
     Trace,
 )
 from .branch import GshareBranchPredictor
-from .engine import Engine, RetireRecord
+from .engine import Engine
 from .frontend import FrontEnd
 
 #: Retired-instruction stride between deadline polls in :meth:`OOOCore.run_span`.
@@ -206,12 +206,11 @@ class OOOCore:
             prefetcher.issued = 0
 
     def run(self, trace: Trace, limit: int | None = None) -> CoreResult:
-        """Execute the trace to completion; returns timing results."""
+        """Execute the trace to completion through :meth:`run_span`; returns
+        timing results."""
         self.start(trace)
         instrs = trace.instrs if limit is None else trace.instrs[:limit]
-        step = self.step
-        for idx, instr in enumerate(instrs):
-            step(idx, instr)
+        self.run_span(instrs, 0)
         return self.finish(len(instrs))
 
     def step(self, idx: int, instr: Instr) -> float:
@@ -314,15 +313,7 @@ class OOOCore:
         self._c_ring[idx % p.rob_size] = c
 
         self.engine.on_retire(
-            RetireRecord(
-                idx=idx,
-                instr=instr,
-                exec_lat=lat,
-                producers=tuple(producers),
-                level=level,
-                mispredicted=mispredicted,
-                e_time=e,
-            )
+            idx, instr, lat, tuple(producers), level, mispredicted, e
         )
         return c
 
@@ -341,9 +332,10 @@ class OOOCore:
         ``tests/test_golden_parity.py``), but with every attribute, bound
         method and constant hoisted out of the loop, engine hooks that are
         still the :class:`Engine` no-ops skipped entirely (including the
-        :class:`RetireRecord` allocation when nothing consumes it), and the
-        deadline polled every :data:`DEADLINE_POLL_STRIDE` instructions —
-        the stride the runner's ``Deadline`` checks anyway.
+        producer list when nothing retires into an engine), the front end's
+        same-line fetch inlined, and the deadline polled every
+        :data:`DEADLINE_POLL_STRIDE` instructions — the stride the runner's
+        ``Deadline`` checks anyway.
 
         ``on_instruction`` stays per-instruction: fault injection raises at
         an exact index and the fleet heartbeat rides it.
@@ -426,7 +418,15 @@ class OOOCore:
             for instr in instrs:
                 # ---- Dispatch (D node) ----------------------------------
                 pipeline_time = last_d if last_d >= redirect else redirect
-                fetch_ready = fetch_time(idx, instr, pipeline_time)
+                if instr.pc >> line_shift == frontend._current_line:
+                    # FrontEnd.fetch_time on the line it is already fetching:
+                    # pipelined, no code access, no stall.
+                    fetch_ready = frontend._ready
+                    if pipeline_time > fetch_ready:
+                        fetch_ready = pipeline_time
+                    frontend._ready = fetch_ready
+                else:
+                    fetch_ready = fetch_time(idx, instr, pipeline_time)
                 d = last_d
                 if fetch_ready > d:
                     d = fetch_ready
@@ -550,15 +550,7 @@ class OOOCore:
 
                 if on_retire is not None:
                     on_retire(
-                        RetireRecord(
-                            idx=idx,
-                            instr=instr,
-                            exec_lat=lat,
-                            producers=tuple(producers),
-                            level=level,
-                            mispredicted=mispredicted,
-                            e_time=e,
-                        )
+                        idx, instr, lat, tuple(producers), level, mispredicted, e
                     )
                 idx += 1
                 if on_instruction is not None:

@@ -55,6 +55,10 @@ class FrontEnd:
             pipeline_time: the back end's current in-order dispatch time; code
                 accesses are timed against it (fetch runs just ahead of
                 dispatch in a balanced pipeline).
+
+        :meth:`repro.cpu.core.OOOCore.run_span` inlines the same-line case
+        (``pc >> LINE_SHIFT == _current_line``: no code access, no stall),
+        so a change to it must be made there too.
         """
         ready = self._ready
         t = ready if ready >= pipeline_time else pipeline_time

@@ -2,8 +2,10 @@
 
 Entries are resolved by :meth:`repro.core.catch_engine.CatchEngine.attach`
 from ``CatchConfig.detector``: ``factory(core, catch_config)`` returns an
-object with the detector interface (``on_retire``, ``is_critical``,
-``is_tracked``, ``critical_pc_counts``, ``table``).  The special entry
+object with the detector interface (``on_retire`` with the positional
+fields of :meth:`repro.cpu.engine.Engine.on_retire`, ``is_critical``,
+``is_tracked``, ``critical_pc_counts``, ``table``).  TACT trains on the
+loads ``table.is_critical`` reports, so ``is_critical`` must agree with it.  The special entry
 ``none`` has no factory — it means "no criticality engine at all" and is
 resolved at composition time (``catch=None``), never inside an engine;
 ``SimConfig.validate`` rejects configurations that reach the engine with it.

@@ -1,7 +1,10 @@
 """Integration tests: criticality detection end to end on a live core."""
 
+import pytest
+
 from repro.caches.hierarchy import CacheHierarchy, Level, LevelSpec
 from repro.core.catch_engine import CatchConfig, CatchEngine
+from repro.core.critical_table import hash_pc
 from repro.core.criticality import CriticalityDetector, detector_area
 from repro.cpu.core import CoreParams, OOOCore
 from repro.memory.controller import MemoryController
@@ -70,22 +73,18 @@ class TestDetectorOnCore:
 
 class TestDetectorUnit:
     def test_record_levels_filter(self):
-        from repro.cpu.engine import RetireRecord
-
         det = CriticalityDetector(rob_size=4, record_levels=(int(Level.L2),))
         # Build a window where an LLC-serving load is critical; it must NOT
         # be recorded because only L2 is in record_levels.
         for i in range(8):
             det.on_retire(
-                RetireRecord(
-                    idx=i,
-                    instr=Instr(0x100, Op.LOAD, addr=i * 64),
-                    exec_lat=40.0,
-                    producers=(i - 1,) if i else (),
-                    level=Level.LLC,
-                    mispredicted=False,
-                    e_time=0.0,
-                )
+                i,
+                Instr(0x100, Op.LOAD, addr=i * 64),
+                40.0,
+                (i - 1,) if i else (),
+                Level.LLC,
+                False,
+                0.0,
             )
         assert det.table.resident_count() == 0
         assert det.critical_pc_counts  # still counted for oracle ranking
@@ -135,3 +134,39 @@ class TestCatchEngineWiring:
         core.run(trace)
         core.run(trace)
         assert engine.tact.stats.deep_prefetches > 100
+
+    @pytest.mark.parametrize("kernel", ["fast", "reference"])
+    @pytest.mark.parametrize("detector", ["ddg", "load-miss-pc"])
+    def test_epoch_fires_at_exact_retired_instruction(self, kernel, detector):
+        """The confidence-reset epoch fires on the ``epoch``-th retired
+        instruction and every ``epoch`` after, under both kernels."""
+        epoch = 10
+        engine = CatchEngine(
+            CatchConfig(epoch_instructions=epoch, detector=detector)
+        )
+        core = OOOCore(0, make_hierarchy(), CoreParams(), engine)
+        instrs = [Instr(0x40 + 4 * i, Op.ALU, dst=1) for i in range(3 * epoch)]
+        core.start(Trace("t", "ISPEC", instrs))
+        table = engine.detector.table
+        h = hash_pc(0x900)
+
+        def confidence():
+            return table._sets[h % table.num_sets][h].confidence
+
+        def advance(lo, hi):
+            if kernel == "fast":
+                core.run_span(instrs[lo:hi], lo)
+            else:
+                for idx in range(lo, hi):
+                    core.step(idx, instrs[idx])
+
+        table.observe_critical(0x900)
+        advance(0, epoch - 1)
+        assert (table.stats.epoch_resets, confidence()) == (0, 1)
+        advance(epoch - 1, epoch)
+        assert (table.stats.epoch_resets, confidence()) == (1, 0)
+        table.observe_critical(0x900)
+        advance(epoch, 2 * epoch - 1)
+        assert (table.stats.epoch_resets, confidence()) == (1, 1)
+        advance(2 * epoch - 1, 3 * epoch)
+        assert (table.stats.epoch_resets, confidence()) == (3, 0)

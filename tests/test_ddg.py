@@ -15,22 +15,15 @@ from repro.core.ddg import (
     graph_area_bytes,
     quantize_latency,
 )
-from repro.cpu.engine import RetireRecord
 from repro.workloads.trace import Instr, Op
 
 
 def record(idx, op=Op.ALU, lat=1.0, producers=(), level=None, mispredicted=False,
            pc=None):
-    return RetireRecord(
-        idx=idx,
-        instr=Instr(pc if pc is not None else 0x400000 + 4 * idx, op,
-                    addr=idx * 64 if op in (Op.LOAD, Op.STORE) else -1),
-        exec_lat=lat,
-        producers=tuple(producers),
-        level=level,
-        mispredicted=mispredicted,
-        e_time=0.0,
-    )
+    """The positional fields of ``BufferedDDG.add`` for one instruction."""
+    instr = Instr(pc if pc is not None else 0x400000 + 4 * idx, op,
+                  addr=idx * 64 if op in (Op.LOAD, Op.STORE) else -1)
+    return idx, instr, lat, tuple(producers), level, mispredicted
 
 
 class TestQuantization:
@@ -52,55 +45,56 @@ class TestQuantization:
 class TestIncrementalCosts:
     def test_single_instruction(self):
         g = BufferedDDG(rob_size=8)
-        g.add(record(0, lat=20))
-        node = g._buffer[0]
-        assert node.d_cost == 0
-        assert node.e_cost == 1  # rename latency
-        assert node.c_cost == 1 + dequantize(quantize_latency(20))
+        g.add(*record(0, lat=20))
+        d_cost, e_cost, c_cost = g.node_costs(0)
+        assert d_cost == 0
+        assert e_cost == 1  # rename latency
+        assert c_cost == 1 + dequantize(quantize_latency(20))
 
     def test_dependence_chain_accumulates(self):
         g = BufferedDDG(rob_size=64)
-        g.add(record(0, op=Op.LOAD, lat=40, level=Level.LLC))
-        g.add(record(1, lat=1, producers=(0,)))
-        consumer = g._buffer[1]
-        producer = g._buffer[0]
-        assert consumer.e_cost == producer.e_cost + dequantize(quantize_latency(40))
+        g.add(*record(0, op=Op.LOAD, lat=40, level=Level.LLC))
+        g.add(*record(1, lat=1, producers=(0,)))
+        _, consumer_e, _ = g.node_costs(1)
+        _, producer_e, _ = g.node_costs(0)
+        assert consumer_e == producer_e + dequantize(quantize_latency(40))
 
     def test_independent_instruction_not_chained(self):
         g = BufferedDDG(rob_size=64)
-        g.add(record(0, op=Op.LOAD, lat=40, level=Level.LLC))
-        g.add(record(1, lat=1))  # no producers
-        assert g._buffer[1].e_cost == g._buffer[1].d_cost + 1
+        g.add(*record(0, op=Op.LOAD, lat=40, level=Level.LLC))
+        g.add(*record(1, lat=1))  # no producers
+        d_cost, e_cost, _ = g.node_costs(1)
+        assert e_cost == d_cost + 1
 
     def test_cc_edge_orders_commit(self):
         g = BufferedDDG(rob_size=64)
-        g.add(record(0, op=Op.LOAD, lat=200, level=Level.MEM))
-        g.add(record(1, lat=1))
-        assert g._buffer[1].c_cost >= g._buffer[0].c_cost
+        g.add(*record(0, op=Op.LOAD, lat=200, level=Level.MEM))
+        g.add(*record(1, lat=1))
+        assert g.node_costs(1)[2] >= g.node_costs(0)[2]
 
     def test_cd_edge_rob_pressure(self):
         g = BufferedDDG(rob_size=2)
-        g.add(record(0, op=Op.LOAD, lat=200, level=Level.MEM))
-        g.add(record(1, lat=1))
-        g.add(record(2, lat=1))  # D constrained by C of instr 0
-        assert g._buffer[2].d_cost >= g._buffer[0].c_cost
+        g.add(*record(0, op=Op.LOAD, lat=200, level=Level.MEM))
+        g.add(*record(1, lat=1))
+        g.add(*record(2, lat=1))  # D constrained by C of instr 0
+        assert g.node_costs(2)[0] >= g.node_costs(0)[2]
 
     def test_espec_edge_after_mispredict(self):
         g = BufferedDDG(rob_size=64)
-        g.add(record(0, op=Op.BRANCH, lat=8, mispredicted=True))
-        g.add(record(1, lat=1))
-        b = g._buffer[0]
-        assert g._buffer[1].d_cost == b.e_cost + dequantize(quantize_latency(8))
+        g.add(*record(0, op=Op.BRANCH, lat=8, mispredicted=True))
+        g.add(*record(1, lat=1))
+        _, branch_e, _ = g.node_costs(0)
+        assert g.node_costs(1)[0] == branch_e + dequantize(quantize_latency(8))
 
 
 class TestWalk:
     def test_walk_finds_critical_load(self):
         """Figure 2 shape: the chain through the slow load is critical."""
         g = BufferedDDG(rob_size=8)
-        g.add(record(0, op=Op.LOAD, lat=200, level=Level.MEM, pc=0x100))  # slow
-        g.add(record(1, op=Op.LOAD, lat=16, level=Level.L2, pc=0x200))   # off-path
-        g.add(record(2, lat=1, producers=(0,)))
-        g.add(record(3, lat=1, producers=(2,)))
+        g.add(*record(0, op=Op.LOAD, lat=200, level=Level.MEM, pc=0x100))  # slow
+        g.add(*record(1, op=Op.LOAD, lat=16, level=Level.L2, pc=0x200))   # off-path
+        g.add(*record(2, lat=1, producers=(0,)))
+        g.add(*record(3, lat=1, producers=(2,)))
         found = g.walk()
         pcs = {f.pc for f in found}
         assert 0x100 in pcs
@@ -111,7 +105,7 @@ class TestWalk:
         g = BufferedDDG(rob_size=32)
         for i in range(6):
             g.add(
-                record(
+                *record(
                     i, op=Op.LOAD, lat=16, level=Level.L2, pc=0x500 + 4 * i,
                     producers=(i - 1,) if i else (),
                 )
@@ -121,8 +115,8 @@ class TestWalk:
 
     def test_walk_levels_reported(self):
         g = BufferedDDG(rob_size=8)
-        g.add(record(0, op=Op.LOAD, lat=40, level=Level.LLC, pc=0xAA))
-        g.add(record(1, lat=1, producers=(0,)))
+        g.add(*record(0, op=Op.LOAD, lat=40, level=Level.LLC, pc=0xAA))
+        g.add(*record(1, lat=1, producers=(0,)))
         found = g.walk()
         assert any(f.level == int(Level.LLC) for f in found)
 
@@ -133,23 +127,24 @@ class TestWalk:
         calls = []
         g = BufferedDDG(rob_size=4, on_walk=calls.append)
         for i in range(2 * 4):
-            g.add(record(i, lat=1, producers=(i - 1,) if i else ()))
+            g.add(*record(i, lat=1, producers=(i - 1,) if i else ()))
         assert len(calls) == 1
         assert g.buffered == 0  # flushed after the walk
 
     def test_multiple_windows(self):
         g = BufferedDDG(rob_size=4)
         for i in range(33):
-            g.add(record(i, lat=1))
+            g.add(*record(i, lat=1))
         assert g.stats.walks == 4
 
     def test_producers_outside_window_ignored(self):
         g = BufferedDDG(rob_size=4)
         for i in range(8):
-            g.add(record(i, lat=1))
+            g.add(*record(i, lat=1))
         # window flushed; producer idx 3 is gone
-        g.add(record(8, lat=1, producers=(3,)))
-        assert g._buffer[0].e_cost == g._buffer[0].d_cost + 1
+        g.add(*record(8, lat=1, producers=(3,)))
+        d_cost, e_cost, _ = g.node_costs(0)
+        assert e_cost == d_cost + 1
 
     def test_occupancy_never_exceeds_walk_window(self):
         """The model walks instantaneously at ``walk_window``, so the 2.5x
@@ -159,7 +154,7 @@ class TestWalk:
         assert g.capacity > g.walk_window  # headroom exists on paper...
         peak = 0
         for i in range(5 * g.walk_window + 3):
-            g.add(record(i, lat=1))
+            g.add(*record(i, lat=1))
             peak = max(peak, g.buffered)
         assert peak == g.walk_window - 1  # ...but occupancy never uses it
         assert g.stats.walks == 5

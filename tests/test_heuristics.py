@@ -10,37 +10,30 @@ from repro.core.heuristics import (
     OldestInROBHeuristic,
     make_heuristic,
 )
-from repro.cpu.engine import RetireRecord
 from repro.workloads.trace import Instr, Op
 
 
 def rec(idx, op=Op.ALU, pc=0x100, lat=1.0, producers=(), level=None,
         mispredicted=False, e_time=0.0, srcs=(), dst=-1):
-    return RetireRecord(
-        idx=idx,
-        instr=Instr(pc, op, srcs=srcs, dst=dst,
-                    addr=idx * 64 if op in (Op.LOAD, Op.STORE) else -1),
-        exec_lat=lat,
-        producers=producers,
-        level=level,
-        mispredicted=mispredicted,
-        e_time=e_time,
-    )
+    """The positional fields of the retire hook for one instruction."""
+    instr = Instr(pc, op, srcs=srcs, dst=dst,
+                  addr=idx * 64 if op in (Op.LOAD, Op.STORE) else -1)
+    return idx, instr, lat, producers, level, mispredicted, e_time
 
 
 class TestOldestInROB:
     def test_stalling_load_flagged(self):
         h = OldestInROBHeuristic(slack=4.0)
-        h.on_retire(rec(0, Op.ALU, e_time=0.0, lat=1.0))
-        h.on_retire(rec(1, Op.LOAD, pc=0x200, e_time=1.0, lat=40.0,
+        h.on_retire(*rec(0, Op.ALU, e_time=0.0, lat=1.0))
+        h.on_retire(*rec(1, Op.LOAD, pc=0x200, e_time=1.0, lat=40.0,
                         level=Level.LLC, dst=1))
         assert h.flagged == 1
         assert 0x200 in h.critical_pc_counts
 
     def test_fast_load_not_flagged(self):
         h = OldestInROBHeuristic(slack=4.0)
-        h.on_retire(rec(0, Op.ALU, e_time=0.0, lat=50.0))
-        h.on_retire(rec(1, Op.LOAD, pc=0x200, e_time=1.0, lat=5.0,
+        h.on_retire(*rec(0, Op.ALU, e_time=0.0, lat=50.0))
+        h.on_retire(*rec(1, Op.LOAD, pc=0x200, e_time=1.0, lat=5.0,
                         level=Level.L1, dst=1))
         assert h.flagged == 0
 
@@ -48,9 +41,9 @@ class TestOldestInROB:
         """A load finishing under the shadow of an earlier long-latency op
         is not flagged (retirement was already blocked)."""
         h = OldestInROBHeuristic(slack=4.0)
-        h.on_retire(rec(0, Op.LOAD, pc=0x100, e_time=0.0, lat=200.0,
+        h.on_retire(*rec(0, Op.LOAD, pc=0x100, e_time=0.0, lat=200.0,
                         level=Level.MEM, dst=1))
-        h.on_retire(rec(1, Op.LOAD, pc=0x200, e_time=1.0, lat=40.0,
+        h.on_retire(*rec(1, Op.LOAD, pc=0x200, e_time=1.0, lat=40.0,
                         level=Level.LLC, dst=2))
         assert 0x200 not in h.critical_pc_counts
 
@@ -58,56 +51,56 @@ class TestOldestInROB:
 class TestConsumerCount:
     def test_consumed_load_flagged(self):
         h = ConsumerCountHeuristic(threshold=1)
-        h.on_retire(rec(0, Op.LOAD, pc=0x300, level=Level.L2, dst=1))
-        h.on_retire(rec(1, Op.ALU, producers=(0,)))
+        h.on_retire(*rec(0, Op.LOAD, pc=0x300, level=Level.L2, dst=1))
+        h.on_retire(*rec(1, Op.ALU, producers=(0,)))
         assert h.flagged == 1
 
     def test_unconsumed_load_not_flagged(self):
         h = ConsumerCountHeuristic(threshold=1)
-        h.on_retire(rec(0, Op.LOAD, pc=0x300, level=Level.L2, dst=1))
-        h.on_retire(rec(1, Op.ALU))
+        h.on_retire(*rec(0, Op.LOAD, pc=0x300, level=Level.L2, dst=1))
+        h.on_retire(*rec(1, Op.ALU))
         assert h.flagged == 0
 
     def test_threshold_two_needs_fanout(self):
         h = ConsumerCountHeuristic(threshold=2)
-        h.on_retire(rec(0, Op.LOAD, pc=0x300, level=Level.L2, dst=1))
-        h.on_retire(rec(1, Op.ALU, producers=(0,)))
+        h.on_retire(*rec(0, Op.LOAD, pc=0x300, level=Level.L2, dst=1))
+        h.on_retire(*rec(1, Op.ALU, producers=(0,)))
         assert h.flagged == 0
-        h.on_retire(rec(2, Op.ALU, producers=(0,)))
+        h.on_retire(*rec(2, Op.ALU, producers=(0,)))
         assert h.flagged == 1
 
     def test_flag_once_per_instance(self):
         h = ConsumerCountHeuristic(threshold=1)
-        h.on_retire(rec(0, Op.LOAD, pc=0x300, level=Level.L2, dst=1))
+        h.on_retire(*rec(0, Op.LOAD, pc=0x300, level=Level.L2, dst=1))
         for i in range(1, 5):
-            h.on_retire(rec(i, Op.ALU, producers=(0,)))
+            h.on_retire(*rec(i, Op.ALU, producers=(0,)))
         assert h.flagged == 1
 
     def test_window_bounded(self):
         h = ConsumerCountHeuristic()
         for i in range(600):
-            h.on_retire(rec(i, Op.LOAD, pc=0x300 + i, level=Level.L2, dst=1))
+            h.on_retire(*rec(i, Op.LOAD, pc=0x300 + i, level=Level.L2, dst=1))
         assert len(h._inflight) <= h.WINDOW
 
 
 class TestBranchFeeder:
     def test_load_feeding_mispredict_flagged(self):
         h = BranchFeederHeuristic()
-        h.on_retire(rec(0, Op.LOAD, pc=0x400, level=Level.L2, dst=3))
-        h.on_retire(rec(1, Op.BRANCH, srcs=(3,), mispredicted=True))
+        h.on_retire(*rec(0, Op.LOAD, pc=0x400, level=Level.L2, dst=3))
+        h.on_retire(*rec(1, Op.BRANCH, srcs=(3,), mispredicted=True))
         assert 0x400 in h.critical_pc_counts
 
     def test_correct_branch_not_flagged(self):
         h = BranchFeederHeuristic()
-        h.on_retire(rec(0, Op.LOAD, pc=0x400, level=Level.L2, dst=3))
-        h.on_retire(rec(1, Op.BRANCH, srcs=(3,), mispredicted=False))
+        h.on_retire(*rec(0, Op.LOAD, pc=0x400, level=Level.L2, dst=3))
+        h.on_retire(*rec(1, Op.BRANCH, srcs=(3,), mispredicted=False))
         assert h.flagged == 0
 
     def test_transitive_propagation(self):
         h = BranchFeederHeuristic()
-        h.on_retire(rec(0, Op.LOAD, pc=0x400, level=Level.LLC, dst=3))
-        h.on_retire(rec(1, Op.ALU, srcs=(3,), dst=5))
-        h.on_retire(rec(2, Op.BRANCH, srcs=(5,), mispredicted=True))
+        h.on_retire(*rec(0, Op.LOAD, pc=0x400, level=Level.LLC, dst=3))
+        h.on_retire(*rec(1, Op.ALU, srcs=(3,), dst=5))
+        h.on_retire(*rec(2, Op.BRANCH, srcs=(5,), mispredicted=True))
         assert 0x400 in h.critical_pc_counts
 
 
@@ -127,8 +120,8 @@ class TestFactoryAndInterface:
     def test_only_outer_level_hits_enter_table(self):
         h = ConsumerCountHeuristic(threshold=1)
         for i in range(0, 20, 2):
-            h.on_retire(rec(i, Op.LOAD, pc=0x500, level=Level.L1, dst=1))
-            h.on_retire(rec(i + 1, Op.ALU, producers=(i,)))
+            h.on_retire(*rec(i, Op.LOAD, pc=0x500, level=Level.L1, dst=1))
+            h.on_retire(*rec(i + 1, Op.ALU, producers=(i,)))
         assert h.flagged == 10
         assert h.table.resident_count() == 0  # L1 hits never recorded
 

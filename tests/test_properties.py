@@ -9,7 +9,6 @@ from repro.core.critical_table import CriticalLoadTable
 from repro.core.ddg import BufferedDDG, dequantize, quantize_latency
 from repro.core.tact.deep_self import DeepSelfState
 from repro.cpu.core import CoreParams, OOOCore
-from repro.cpu.engine import RetireRecord
 from repro.memory.controller import MemoryController
 from repro.memory.dram import DRAM
 from repro.workloads.trace import Instr, Op, Trace
@@ -138,19 +137,17 @@ class TestDDGProperties:
     def test_node_costs_monotone_and_walk_terminates(self, items):
         g = BufferedDDG(rob_size=16)
         for idx, (opsel, lat, dep) in enumerate(items):
-            rec = RetireRecord(
-                idx=idx,
-                instr=Instr(0x400 + 4 * (idx % 64), Op(opsel % 6), addr=idx * 64),
-                exec_lat=float(lat),
-                producers=(idx - 1,) if dep and idx else (),
-                level=None,
-                mispredicted=opsel == 5,
-                e_time=0.0,
+            g.add(
+                idx,
+                Instr(0x400 + 4 * (idx % 64), Op(opsel % 6), addr=idx * 64),
+                float(lat),
+                (idx - 1,) if dep and idx else (),
+                None,
+                opsel == 5,
             )
-            g.add(rec)
             if g.buffered:
-                node = g._buffer[-1]
-                assert node.c_cost >= node.e_cost >= node.d_cost >= 0
+                d_cost, e_cost, c_cost = g.node_costs(g.buffered - 1)
+                assert c_cost >= e_cost >= d_cost >= 0
         g.walk()  # must terminate regardless of structure
 
     @given(st.integers(0, 100_000))
