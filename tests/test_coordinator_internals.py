@@ -1,5 +1,8 @@
 """White-box tests for TACT coordinator bookkeeping and MP code sharing."""
 
+import hashlib
+import json
+
 from repro.caches.hierarchy import CacheHierarchy, Level, LevelSpec
 from repro.core.catch_engine import CatchEngine
 from repro.core.criticality import CriticalityDetector
@@ -11,6 +14,9 @@ from repro.sim.config import skylake_server
 from repro.sim.multicore import MultiCoreSimulator, relocate_trace
 from repro.workloads.suites import build_trace
 from repro.workloads.trace import Instr, Op
+
+#: SHA-256 of the four-core RATE-4 code-sharing run's end state.
+RATE4_STATE_DIGEST = "b38ca6cea6304dc2ec786344b262324eb7b5d68e655f1aede9a23b3357c305be"
 
 
 def make_coordinator(max_targets=4):
@@ -131,6 +137,11 @@ class TestMPCodeSharing:
             for b in range(a + 1, 4):
                 assert not (data_lines[a] & data_lines[b])
         assert code_lines & resident_everywhere  # shared code is cached
+        # Pin of the interleaved run's end state (core clocks, LLC contents).
+        state = json.dumps(
+            [[core.time for core in cores], sorted(hierarchy.llc.resident_lines())]
+        )
+        assert hashlib.sha256(state.encode()).hexdigest() == RATE4_STATE_DIGEST
 
 
 class TestTimelinessEdge:
