@@ -134,7 +134,7 @@ class Cache:
         """True if the line is resident (regardless of fill completion)."""
         # set_index is inlined here and in access/fill: these run once or
         # more per simulated instruction and the call overhead shows up in
-        # profiles (see benchmarks/bench_kernel.py).
+        # profiles (see the per-layer split of perfbench/run.py --trace 1).
         if self.hashed_index:
             h = (line_addr * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
             index = ((h >> 24) ^ (h >> 48)) % self.num_sets

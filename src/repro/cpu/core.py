@@ -23,6 +23,7 @@ critical paths are true critical paths of this machine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .. import obs
@@ -32,7 +33,6 @@ from ..workloads.trace import (
     EXEC_LATENCY,
     LINE_SHIFT,
     NUM_ARCH_REGS,
-    Instr,
     Op,
     Trace,
 )
@@ -45,6 +45,12 @@ from .frontend import FrontEnd
 #: multiple of its own check interval — so polling only on these strides is
 #: observationally identical to the seed's per-instruction polling.
 DEADLINE_POLL_STRIDE = 256
+
+#: Execution latency per op, as floats (timing arithmetic is in floats).
+_EXEC_LAT = {op: float(lat) for op, lat in EXEC_LATENCY.items()}
+
+#: The :class:`Engine` hooks :meth:`OOOCore.run_span` calls, in its order.
+_HOOKS = ("before_load", "after_load", "on_execute", "on_retire")
 
 
 @dataclass(frozen=True)
@@ -191,10 +197,24 @@ class OOOCore:
         return self._mispredicts
 
     def start(self, trace: Trace) -> None:
-        """Reset timing state and bind the engine for a manual step() run."""
+        """Reset timing state and bind the engine for :meth:`run_span` calls.
+
+        The engine's live hooks are resolved here, once per run, so each
+        :meth:`run_span` call — the multi-core driver makes one every few
+        instructions — starts without a per-call lookup.  A hook is live
+        unless it is still the :class:`Engine` base-class no-op; instance
+        attribute hooks (no ``__func__``) count as live.
+        """
         self._reset_run_state()
-        self.engine.attach(self.core_id, self)
-        self.engine.set_trace(trace)
+        engine = self.engine
+        engine.attach(self.core_id, self)
+        engine.set_trace(trace)
+        hooks = []
+        for name in _HOOKS:
+            hook = getattr(engine, name)
+            live = getattr(hook, "__func__", None) is not getattr(Engine, name)
+            hooks.append(hook if live else None)
+        self._hooks = tuple(hooks)
 
     def reset_stats(self) -> None:
         """Zero core-side counters (not timing state) at a sample boundary."""
@@ -213,141 +233,44 @@ class OOOCore:
         self.run_span(instrs, 0)
         return self.finish(len(instrs))
 
-    def step(self, idx: int, instr: Instr) -> float:
-        """Advance one instruction through D/E/C; returns its commit time.
-
-        Exposed separately from :meth:`run` so the multi-core driver can
-        interleave cores by timestamp.
-        """
-        p = self.params
-        # ---- Dispatch (D node) ------------------------------------------
-        fetch_ready = self.frontend.fetch_time(
-            idx, instr, max(self._last_d, self._redirect)
-        )
-        d = max(self._last_d, fetch_ready, self._redirect)
-        if idx >= p.rob_size:
-            d = max(d, self._c_ring[idx % p.rob_size])  # C-D edge (ROB full)
-        cyc = int(d)
-        if cyc == self._d_cycle:
-            if self._d_count >= p.width:
-                cyc += 1
-                d = float(cyc)
-                self._d_cycle = cyc
-                self._d_count = 1
-            else:
-                self._d_count += 1
-        else:
-            self._d_cycle = cyc
-            self._d_count = 1
-        self._last_d = d
-
-        # ---- Execute (E node) --------------------------------------------
-        e = d + p.rename_latency
-        producers: list[int] = []
-        for src in instr.srcs:
-            widx = self._reg_writer[src]
-            if widx >= 0:
-                producers.append(widx)
-                t = self._e_time[widx] + self._lat[widx]
-                if t > e:
-                    e = t
-        if instr.op is Op.LOAD:
-            sidx = self._mem_writer.get(instr.addr, -1)
-            if sidx >= 0:
-                producers.append(sidx)
-                t = self._e_time[sidx] + self._lat[sidx]
-                if t > e:
-                    e = t
-
-        # ---- Execution latency --------------------------------------------
-        level: Level | None = None
-        mispredicted = False
-        if instr.op is Op.LOAD:
-            self.engine.before_load(instr, idx, e)
-            result = self.hierarchy.load(self.core_id, instr.pc, instr.line, e)
-            lat = result.latency
-            level = result.level
-            if self._train_load is not None:
-                self._train_load(instr.pc, instr.addr, e)
-            if level is not Level.L1 and self._train_miss is not None:
-                self._train_miss(instr.line, e)
-            self.engine.after_load(instr, idx, e, result)
-        elif instr.op is Op.STORE:
-            lat = float(EXEC_LATENCY[Op.STORE])
-            self.hierarchy.store(self.core_id, instr.pc, instr.line, e)
-            self._mem_writer[instr.addr] = idx
-        elif instr.op is Op.BRANCH:
-            lat = float(EXEC_LATENCY[Op.BRANCH])
-            mispredicted = self.predictor.predict_and_update(
-                instr.pc, instr.taken, instr.target
-            )
-            if mispredicted:
-                self._mispredicts += 1
-                resume = e + lat + p.mispredict_penalty  # E-D edge
-                self._redirect = max(self._redirect, resume)
-                self.frontend.redirect(resume)
-        else:
-            lat = float(EXEC_LATENCY[instr.op])
-
-        self.engine.on_execute(instr, idx, e)
-        if instr.dst >= 0:
-            self._reg_writer[instr.dst] = idx
-        self._e_time.append(e)
-        self._lat.append(lat)
-
-        # ---- Commit (C node) ----------------------------------------------
-        c = max(e + lat, self._last_c)
-        cyc = int(c)
-        if cyc == self._c_cycle:
-            if self._c_count >= p.width:
-                cyc += 1
-                c = float(cyc)
-                self._c_cycle = cyc
-                self._c_count = 1
-            else:
-                self._c_count += 1
-        else:
-            self._c_cycle = cyc
-            self._c_count = 1
-        self._last_c = c
-        self._c_ring[idx % p.rob_size] = c
-
-        self.engine.on_retire(
-            idx, instr, lat, tuple(producers), level, mispredicted, e
-        )
-        return c
-
     def run_span(
         self,
         instrs,
         start_idx: int,
         *,
+        stop: float = math.inf,
         on_instruction=None,
         deadline=None,
     ) -> int:
-        """Step a span of instructions through the optimized kernel loop.
+        """Step a span of instructions through D/E/C; the simulation kernel.
 
-        Semantically identical to calling :meth:`step` once per instruction
-        (that per-instruction loop remains the *reference kernel* guarded by
-        ``tests/test_golden_parity.py``), but with every attribute, bound
-        method and constant hoisted out of the loop, engine hooks that are
-        still the :class:`Engine` no-ops skipped entirely (including the
-        producer list when nothing retires into an engine), the front end's
-        same-line fetch inlined, and the deadline polled every
-        :data:`DEADLINE_POLL_STRIDE` instructions — the stride the runner's
-        ``Deadline`` checks anyway.
+        Every attribute, bound method and constant is hoisted out of the
+        loop, engine hooks that are still the :class:`Engine` no-ops (as
+        resolved by :meth:`start`) are skipped entirely — including the
+        producer list when nothing retires into an engine — the front end's
+        same-line fetch is inlined, and the deadline is polled every
+        :data:`DEADLINE_POLL_STRIDE` instructions, the stride the runner's
+        ``Deadline`` checks anyway.  A run may be split into spans at any
+        instruction boundary without changing its result: all timing state
+        lives on the core between calls.
 
         ``on_instruction`` stays per-instruction: fault injection raises at
         an exact index and the fleet heartbeat rides it.
 
         Timing state is written back even when a hook raises (``finally``),
-        so an aborted run leaves the core exactly where :meth:`step` would.
-        Engines must not read core timing state mid-span (none do; the
-        reference kernel remains available for engines that need to).
+        so an aborted run leaves the core after its last stepped
+        instruction.  Engines must not read core timing state mid-span
+        (none do).
 
         Args:
-            instrs: the instructions to step, in program order.
+            instrs: the instructions to step, in program order (any
+                iterable; the multi-core driver passes an ``islice`` of a
+                per-core iterator, which a ``stop`` leaves just after the
+                last stepped instruction).
             start_idx: dynamic index of the first instruction in ``instrs``.
+            stop: the span ends after the first instruction whose commit
+                time exceeds this bound (the multi-core driver's next
+                heap entry); ``inf`` steps every instruction.
 
         Returns:
             The dynamic index after the last stepped instruction.
@@ -386,27 +309,13 @@ class OOOCore:
         train_load = self._train_load
         train_miss = self._train_miss
 
-        # An engine hook is "live" only if it is not the Engine base-class
-        # no-op.  Instance-attribute hooks (no ``__func__``) are conservatively
-        # treated as live, so monkeypatched engines keep working.
-        engine = self.engine
-
-        def _live(name: str):
-            hook = getattr(engine, name)
-            if getattr(hook, "__func__", None) is getattr(Engine, name):
-                return None
-            return hook
-
-        before_load = _live("before_load")
-        after_load = _live("after_load")
-        on_execute = _live("on_execute")
-        on_retire = _live("on_retire")
+        before_load, after_load, on_execute, on_retire = self._hooks
 
         op_load = Op.LOAD
         op_store = Op.STORE
         op_branch = Op.BRANCH
         level_l1 = Level.L1
-        exec_lat = {op: float(lat) for op, lat in EXEC_LATENCY.items()}
+        exec_lat = _EXEC_LAT
         store_lat = exec_lat[op_store]
         branch_lat = exec_lat[op_branch]
         line_shift = LINE_SHIFT
@@ -557,6 +466,8 @@ class OOOCore:
                     on_instruction(idx)
                 if deadline is not None and not idx % poll:
                     deadline(idx)
+                if last_c > stop:
+                    break
         finally:
             self._last_d = last_d
             self._last_c = last_c

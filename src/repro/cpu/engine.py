@@ -5,12 +5,13 @@ prefetcher (``repro.core.oracle``) and the do-nothing default all implement
 this interface.  Keeping the base class in the ``cpu`` package avoids an
 import cycle (``repro.core`` builds on ``repro.cpu``).
 
-Both kernels (:meth:`~repro.cpu.core.OOOCore.run_span` and
-:meth:`~repro.cpu.core.OOOCore.step`) call the hooks in the same order for
-every instruction: ``before_load``/``after_load`` around a load's cache
-access, then ``on_execute``, then ``on_retire``.  A hook left as the no-op
-defined here is skipped by ``run_span``; engines bind the hooks they need as
-instance attributes or override them in a subclass.
+The kernel (:meth:`~repro.cpu.core.OOOCore.run_span`) calls the hooks in
+the same order for every instruction: ``before_load``/``after_load`` around
+a load's cache access, then ``on_execute``, then ``on_retire``.  A hook left
+as the no-op defined here is skipped; engines bind the hooks they need as
+instance attributes in :meth:`Engine.attach` or override them in a
+subclass, and :meth:`~repro.cpu.core.OOOCore.start` resolves them once per
+run.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class Engine:
     ) -> None:
         """Called in order at retirement (feeds the criticality detector).
 
-        The fields are positional, so the kernels allocate nothing per call:
+        The fields are positional, so the kernel allocates nothing per call:
 
         Args:
             idx: dynamic instruction index (graph node id).

@@ -9,7 +9,7 @@ objects:
   ``SimConfig.prefetchers`` is ``None`` the names are *derived from the
   legacy* ``CoreParams`` flags, so the default composition is
   registry-driven yet byte-identical to the hard-wired wiring it replaced
-  (the golden-parity harness enforces this).
+  (the golden digests enforce this).
 * :func:`make_engine` — the engine matching the config (CATCH when a
   ``CatchConfig`` is present, the no-op :class:`Engine` otherwise).
 * :class:`Selection` / :func:`apply_selection` — the CLI override object:

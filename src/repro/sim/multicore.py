@@ -3,7 +3,9 @@
 Each core runs its own trace; cores share the LLC, ring and DRAM.  Cores are
 interleaved by commit timestamp (the core with the earliest local clock steps
 next), so shared-resource contention — LLC capacity, bank conflicts, bus
-occupancy — emerges naturally from the timestamps.
+occupancy — emerges naturally from the timestamps.  The interleaving is exact
+per instruction, but each core runs as many instructions as it stays the
+earliest, in one :meth:`~repro.cpu.core.OOOCore.run_span` call.
 
 Each trace's data addresses are relocated to a private region (separate
 processes do not share physical data pages); code addresses are left shared,
@@ -23,10 +25,13 @@ the alone runs on the same configuration (paper Section V).
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import replace as dc_replace
+from itertools import islice
 
 from .. import obs
 from ..core.catch_engine import CatchEngine
+from ..cpu.core import DEADLINE_POLL_STRIDE
 from ..workloads.suites import build_trace, get_spec
 from ..workloads.trace import Trace
 from .config import SimConfig
@@ -68,14 +73,12 @@ class MultiCoreSimulator:
         *,
         on_instruction=None,
         deadline=None,
-        **_ignored,
     ) -> MPRunResult:
         """Simulator-compatible entry point: a mix reference runs as a mix.
 
         ``workload`` is the ``"a+b+c+d"`` display string or the member
-        tuple itself; extra single-core-only kwargs (``kernel`` etc.) are
-        accepted and ignored so the runner can treat this class as a
-        drop-in simulator for mix jobs.
+        tuple itself; the runner treats this class as the simulator of mix
+        jobs.
         """
         from ..plugins.workloads import mix_names
 
@@ -96,7 +99,10 @@ class MultiCoreSimulator:
 
         ``on_instruction``/``deadline`` follow the single-core simulator's
         hook contract, called with the running count of globally stepped
-        instructions — the fleet worker's heartbeat and the runner's
+        instructions: ``on_instruction`` after every instruction,
+        ``deadline`` at every phase boundary (with 0) and whenever the count
+        reaches a multiple of :data:`~repro.cpu.core.DEADLINE_POLL_STRIDE`.
+        The fleet worker's heartbeat and the runner's fault injection and
         wall-clock deadline ride them for mix jobs too.
         """
         from ..plugins.workloads import mix_display
@@ -122,36 +128,53 @@ class MultiCoreSimulator:
         if deadline is not None:
             deadline(0)
 
-        boundaries = [len(t.instrs) // 2 for t in traces]
+        lengths = [len(t.instrs) for t in traces]
+        boundaries = [n // 2 for n in lengths]
+        streams = [iter(t.instrs) for t in traces]
         half_time: dict[int, float] = {}
         positions = [0] * self.n_cores
         stepped = 0
+        poll = DEADLINE_POLL_STRIDE
         # Min-heap of (local commit time, core id): the core whose clock is
         # furthest behind steps next, keeping shared-resource timestamps
-        # roughly ordered.
+        # roughly ordered.  The popped core runs while its (commit, id)
+        # stays below the next heap entry — exactly the instructions one pop
+        # per instruction would give it — so its span stops after the first
+        # commit above ``stop``.
         heap = [(0.0, c) for c in range(self.n_cores)]
         heapq.heapify(heap)
         with obs.span("mix-run", args={"mix": display}):
             while heap:
                 _, c = heapq.heappop(heap)
                 pos = positions[c]
-                trace = traces[c]
-                if pos >= len(trace.instrs):
-                    continue
-                commit = cores[c].step(pos, trace.instrs[pos])
-                positions[c] = pos + 1
-                stepped += 1
-                if on_instruction is not None:
-                    on_instruction(stepped)
+                end = boundaries[c] if pos < boundaries[c] else lengths[c]
                 if deadline is not None:
+                    end = min(end, pos + poll - stepped % poll)
+                if heap:
+                    top_t, top_c = heap[0]
+                    stop = top_t if c < top_c else math.nextafter(top_t, -math.inf)
+                else:
+                    stop = math.inf
+                hook = None
+                if on_instruction is not None:
+                    def hook(idx, offset=stepped - pos):
+                        on_instruction(idx + offset)
+                core = cores[c]
+                new_pos = core.run_span(
+                    islice(streams[c], end - pos), pos,
+                    stop=stop, on_instruction=hook,
+                )
+                positions[c] = new_pos
+                stepped += new_pos - pos
+                if deadline is not None and not stepped % poll:
                     deadline(stepped)
-                if positions[c] == boundaries[c]:
-                    half_time[c] = commit
+                if new_pos == boundaries[c]:
+                    half_time[c] = core.time
                     hierarchy.stats[c] = type(hierarchy.stats[c])()
-                    cores[c].reset_stats()
+                    core.reset_stats()
                     engines[c].reset_stats()
-                if positions[c] < len(trace.instrs):
-                    heapq.heappush(heap, (commit, c))
+                if new_pos < lengths[c]:
+                    heapq.heappush(heap, (core.time, c))
             hierarchy.memory.finish(max(core.time for core in cores))
 
         per_core_ipc: dict[int, float] = {}

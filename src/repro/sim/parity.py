@@ -1,31 +1,21 @@
-"""Golden-parity differential harness for the simulation kernels.
+"""Canonical result encoding for golden-digest comparisons.
 
-The optimized kernel (:meth:`repro.cpu.core.OOOCore.run_span`) must be
-*indistinguishable* from the seed's per-instruction reference loop: not
-"close", byte-identical.  The comparator here canonicalises a
-:class:`~repro.sim.metrics.RunResult` to a deterministic JSON string and the
-harness runs the same (config, workload) pair through both kernels on fresh
-simulators, asserting the strings match.  Any hot-path change that reorders a
-float operation, drops a tie-break, or skips a stat update shows up as a
-one-character diff instead of a silently drifted figure.
-
-``tests/test_golden_parity.py`` runs the matrix as a tier-1 gate;
-``benchmarks/bench_kernel.py`` runs it at full trace length and records the
-instructions/second of both kernels into ``BENCH_kernel.json``.
+A change to the simulator that is meant to keep its results must keep them
+*byte-identical*, not "close".  :func:`canonical_result_json` encodes a
+:class:`~repro.sim.metrics.RunResult` as a deterministic JSON string whose
+SHA-256 the golden digests pin (``perfbench/golden.json``,
+``tests/test_golden_parity.py``, ``tests/test_detector_digests.py``,
+``tests/test_mp_digests.py``).  Any hot-path change that reorders a float
+operation, drops a tie-break, or skips a stat update shows up as a changed
+digest instead of a silently drifted figure.
 """
 
 from __future__ import annotations
 
-import gc
 import json
-import time
-from dataclasses import dataclass
 
-from ..workloads.suites import build_trace, get_spec, suite
-from .config import SimConfig, fig10_configs, skylake_server
 from .metrics import RunResult
 from .serialization import result_to_dict
-from .simulator import Simulator
 
 
 def canonical_result_json(
@@ -42,93 +32,3 @@ def canonical_result_json(
     if not include_telemetry:
         payload["telemetry"] = None
     return json.dumps(payload, sort_keys=True)
-
-
-@dataclass(slots=True)
-class KernelComparison:
-    """One (config, workload) pair run through both kernels."""
-
-    config_name: str
-    workload: str
-    n_instrs: int
-    instructions_stepped: int  #: per kernel, warmup included
-    reference_s: float
-    fast_s: float
-    reference_json: str
-    fast_json: str
-
-    @property
-    def match(self) -> bool:
-        return self.reference_json == self.fast_json
-
-    @property
-    def reference_ips(self) -> float:
-        return self.instructions_stepped / self.reference_s
-
-    @property
-    def fast_ips(self) -> float:
-        return self.instructions_stepped / self.fast_s
-
-    @property
-    def speedup(self) -> float:
-        return self.reference_s / self.fast_s
-
-
-def compare_kernels(
-    config: SimConfig,
-    workload: str,
-    n_instrs: int,
-    *,
-    warmup: bool = True,
-    repeats: int = 1,
-) -> KernelComparison:
-    """Run ``workload`` on ``config`` under both kernels, fresh state each.
-
-    A fresh :class:`Simulator` (and therefore hierarchy, core and engine) is
-    built per kernel so neither run sees the other's warmed state.  The
-    trace is built once, outside the timed region — the timing measures the
-    kernels, not the workload generator — and with ``repeats > 1`` each
-    kernel is timed that many times (fresh simulator each) keeping the
-    minimum, the standard guard against scheduler/GC noise on a single run.
-    """
-    spec = get_spec(workload)
-    length = n_instrs * spec.length_multiplier
-    trace = build_trace(workload, 2 * length if warmup else length)
-    clock = time.perf_counter
-    timings: dict[str, float] = {}
-    results: dict[str, RunResult] = {}
-    for kernel in ("reference", "fast"):
-        best = float("inf")
-        for _ in range(max(1, repeats)):
-            sim = Simulator(config)
-            gc.collect()
-            t0 = clock()
-            results[kernel] = sim.run(
-                trace, warmup=warmup, kernel=kernel
-            )
-            best = min(best, clock() - t0)
-        timings[kernel] = best
-    stepped = results["fast"].instructions * (2 if warmup else 1)
-    return KernelComparison(
-        config_name=config.name,
-        workload=workload,
-        n_instrs=n_instrs,
-        instructions_stepped=stepped,
-        reference_s=timings["reference"],
-        fast_s=timings["fast"],
-        reference_json=canonical_result_json(results["reference"]),
-        fast_json=canonical_result_json(results["fast"]),
-    )
-
-
-def differential_matrix(quick: bool = True) -> list[tuple[SimConfig, str]]:
-    """The fig10 smoke matrix: every fig10 config x every suite workload.
-
-    This is the fixed matrix both the parity test and the kernel benchmark
-    iterate — the baseline three-level machine plus the Figure 10 two-level
-    and CATCH variants, crossed with the workload suite (``quick=True`` is
-    the smoke subset the figure-smoke CI job already exercises).
-    """
-    configs = [skylake_server(), *fig10_configs()]
-    names = [spec.name for spec in suite(quick=quick)]
-    return [(config, name) for config in configs for name in names]

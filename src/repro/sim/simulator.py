@@ -30,26 +30,6 @@ from .metrics import ActivitySnapshot, RunResult
 #: Default dynamic instruction count for experiment traces.
 DEFAULT_TRACE_LENGTH = 40_000
 
-#: Simulation kernels selectable via ``Simulator.run(kernel=...)``.
-#: ``fast`` is the optimized span loop (:meth:`OOOCore.run_span`);
-#: ``reference`` is the seed-equivalent per-instruction ``step()`` loop kept
-#: as the golden baseline for the parity harness.  Both must produce
-#: byte-identical ``RunResult`` JSON (see ``repro.sim.parity``).
-KERNELS = ("fast", "reference")
-
-
-def _reference_span(core, instrs, idx, on_instruction, deadline) -> int:
-    """The seed's per-instruction loop, verbatim: the golden reference."""
-    step = core.step
-    for instr in instrs:
-        step(idx, instr)
-        idx += 1
-        if on_instruction is not None:
-            on_instruction(idx)
-        if deadline is not None:
-            deadline(idx)
-    return idx
-
 
 class Simulator:
     """Builds and runs one machine configuration.
@@ -116,7 +96,6 @@ class Simulator:
         latency_policy=None,
         on_instruction=None,
         deadline=None,
-        kernel: str = "fast",
     ) -> RunResult:
         """Run one workload on this configuration and return the measurement.
 
@@ -129,7 +108,7 @@ class Simulator:
                 requiring identical cold-start state should pass fresh ones).
             on_instruction: optional callable invoked with the running retired
                 instruction index after every stepped instruction (warmup
-                included), under both kernels.  The fault-injection harness
+                included).  The fault-injection harness
                 uses it to raise at a chosen instruction; exceptions it
                 raises abort the run.
             deadline: optional callable invoked with the retired-instruction
@@ -137,18 +116,11 @@ class Simulator:
                 trace build, which has no per-instruction hook).  Kept
                 separate from ``on_instruction`` so a wall-clock deadline
                 still fires when a fault hook replaces or swallows the
-                instruction callback.  The fast kernel polls it every
+                instruction callback.  :meth:`OOOCore.run_span` polls it every
                 :data:`~repro.cpu.core.DEADLINE_POLL_STRIDE` instructions —
-                the stride the runner's ``Deadline`` responds to anyway;
-                the reference kernel polls per instruction as the seed did.
+                the stride the runner's ``Deadline`` responds to anyway.
                 Exceptions it raises abort the run.
-            kernel: ``"fast"`` (optimized :meth:`OOOCore.run_span` loop, the
-                default) or ``"reference"`` (seed-equivalent per-instruction
-                ``step()`` loop).  Both produce byte-identical results; the
-                parity harness (``repro.sim.parity``) enforces it.
         """
-        if kernel not in KERNELS:
-            raise ValueError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
         registry = obs.metrics()
         clock = time.perf_counter
         phase_s: dict[str, float] = {}
@@ -177,15 +149,10 @@ class Simulator:
         idx = 0
         t_phase = clock()
         with obs.span("warmup", args={"instructions": boundary}):
-            if kernel == "fast":
-                idx = core.run_span(
-                    trace.instrs[:boundary], idx,
-                    on_instruction=on_instruction, deadline=deadline,
-                )
-            else:
-                idx = _reference_span(
-                    core, trace.instrs[:boundary], idx, on_instruction, deadline
-                )
+            idx = core.run_span(
+                trace.instrs[:boundary], idx,
+                on_instruction=on_instruction, deadline=deadline,
+            )
             if warmup:
                 self._reset_all_stats(hierarchy, core, engine)
         phase_s["warmup"] = clock() - t_phase
@@ -195,15 +162,10 @@ class Simulator:
         measured = total - boundary
         t_phase = clock()
         with obs.span("measure", args={"instructions": measured}):
-            if kernel == "fast":
-                core.run_span(
-                    trace.instrs[boundary:], idx,
-                    on_instruction=on_instruction, deadline=deadline,
-                )
-            else:
-                _reference_span(
-                    core, trace.instrs[boundary:], idx, on_instruction, deadline
-                )
+            core.run_span(
+                trace.instrs[boundary:], idx,
+                on_instruction=on_instruction, deadline=deadline,
+            )
         phase_s["measure"] = clock() - t_phase
         t_phase = clock()
         with obs.span("finish"):

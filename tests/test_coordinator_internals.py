@@ -122,7 +122,7 @@ class TestMPCodeSharing:
             core.start(trace)
         for pos in range(2000):
             for c in range(4):
-                cores[c].step(pos, traces[c].instrs[pos])
+                cores[c].run_span(traces[c].instrs[pos:pos + 1], pos)
         code_lines = {i.code_line for i in base_trace.instrs[:2000]}
         resident_everywhere = set(hierarchy.llc.resident_lines())
         for c in range(4):

@@ -148,7 +148,8 @@ class TestResultBookkeeping:
         core.start(trace)
         last = 0.0
         for idx, ins in enumerate(trace.instrs):
-            t = core.step(idx, ins)
+            core.run_span((ins,), idx)
+            t = core.time
             assert t >= last
             last = t
 

@@ -135,11 +135,14 @@ class TestCatchEngineWiring:
         core.run(trace)
         assert engine.tact.stats.deep_prefetches > 100
 
-    @pytest.mark.parametrize("kernel", ["fast", "reference"])
+    @pytest.mark.parametrize("drive", ["fast", "reference"])
     @pytest.mark.parametrize("detector", ["ddg", "load-miss-pc"])
-    def test_epoch_fires_at_exact_retired_instruction(self, kernel, detector):
+    def test_epoch_fires_at_exact_retired_instruction(self, drive, detector):
         """The confidence-reset epoch fires on the ``epoch``-th retired
-        instruction and every ``epoch`` after, under both kernels."""
+        instruction and every ``epoch`` after, whether the kernel steps a
+        stretch in one span (``fast``) or one instruction per span
+        (``reference``: the old per-instruction loop, and the multi-core
+        driver's shortest spans)."""
         epoch = 10
         engine = CatchEngine(
             CatchConfig(epoch_instructions=epoch, detector=detector)
@@ -154,11 +157,11 @@ class TestCatchEngineWiring:
             return table._sets[h % table.num_sets][h].confidence
 
         def advance(lo, hi):
-            if kernel == "fast":
+            if drive == "fast":
                 core.run_span(instrs[lo:hi], lo)
             else:
                 for idx in range(lo, hi):
-                    core.step(idx, instrs[idx])
+                    core.run_span(instrs[idx:idx + 1], idx)
 
         table.observe_critical(0x900)
         advance(0, epoch - 1)

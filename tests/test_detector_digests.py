@@ -1,8 +1,6 @@
 """Golden digests for CATCH driven by every registered detector.
 
-``perfbench/golden.json`` only covers the ``ddg`` detector, and the kernel
-parity harness compares the two kernels against each other — a change that
-altered a heuristic the same way under both kernels would pass both.  These
+``perfbench/golden.json`` only covers the ``ddg`` detector.  These
 digests pin the simulated result of CATCH driven by each detector in
 :data:`repro.plugins.detectors.DETECTORS`, plus the
 :func:`~repro.core.oracle.profile_critical_pcs` ranking that figures 4 and 5
@@ -23,6 +21,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.oracle import profile_critical_pcs
+from repro.cpu.core import OOOCore
 from repro.sim.config import skylake_server, with_catch
 from repro.sim.parity import canonical_result_json
 from repro.sim.simulator import Simulator
@@ -88,9 +87,9 @@ def _catch_config(detector: str, ranking: list[int]):
     return replace(cfg, name=f"CATCH[det={detector}]", catch=catch)
 
 
-def _result_json(workload: str, detector: str, kernel: str = "fast") -> str:
+def _result_json(workload: str, detector: str) -> str:
     cfg = _catch_config(detector, _ranking(workload))
-    result = Simulator(cfg).run(_trace(workload), kernel=kernel)
+    result = Simulator(cfg).run(_trace(workload))
     return canonical_result_json(result)
 
 
@@ -107,11 +106,22 @@ def test_catch_result_digest(workload, detector):
 
 
 @pytest.mark.parametrize("detector", DETECTORS)
-def test_reference_kernel_matches_digest(detector):
-    """The per-instruction reference loop feeds every detector through the
-    same retire hook and must land on the same digest."""
+def test_reference_kernel_matches_digest(detector, monkeypatch):
+    """Driven one instruction per span — the retired reference loop's
+    granularity, and the multi-core driver's shortest span — the kernel
+    feeds every detector the same retire stream and lands on the same
+    digest: no engine or core state may depend on where a span ends."""
+    run_span = OOOCore.run_span
+
+    def one_per_span(core, instrs, start_idx, **hooks):
+        idx = start_idx
+        for instr in instrs:
+            idx = run_span(core, (instr,), idx, **hooks)
+        return idx
+
+    monkeypatch.setattr(OOOCore, "run_span", one_per_span)
     workload = WORKLOADS[0]
-    digest = _sha256(_result_json(workload, detector, kernel="reference"))
+    digest = _sha256(_result_json(workload, detector))
     assert digest == RESULT_DIGESTS[f"{workload}|{detector}"]
 
 

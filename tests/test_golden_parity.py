@@ -1,13 +1,21 @@
-"""Golden-parity differential harness (tier-1 gate for the fast kernel).
+"""Golden parity of the simulation kernel (tier-1 gate).
 
-The optimized span kernel must produce *byte-identical* ``RunResult`` JSON
-to the seed-equivalent per-instruction reference loop on every pair of the
-fig10 differential matrix — the contract documented in README.md's
-Performance section.  These tests run a reduced matrix (every config, two
-workloads, short traces); ``benchmarks/bench_kernel.py`` runs the full one.
+:meth:`~repro.cpu.core.OOOCore.run_span` must keep producing *byte-identical*
+``RunResult`` JSON to the results pinned here.  The digests were captured
+while the seed's per-instruction reference loop still ran beside the span
+kernel and both agreed byte for byte, so they pin the reference semantics:
+every config of the fig10 differential matrix on two workloads at a short
+trace length, plus a run without warm-up and one with a latency policy.
+``perfbench/golden.json`` pins the same machines at the fig10 quick length.
+
+After a change that is *meant* to alter simulated results, print the new
+digests with ``PYTHONPATH=src python tests/test_golden_parity.py`` and say
+why in CHANGES.md.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import pytest
 
@@ -15,27 +23,42 @@ from repro import obs
 from repro.errors import RunTimeoutError
 from repro.runner.runner import DEADLINE_CHECK_INTERVAL, Deadline
 from repro.runner.store import ResultStore
-from repro.sim.config import skylake_server
-from repro.sim.parity import (
-    canonical_result_json,
-    compare_kernels,
-    differential_matrix,
-)
-from repro.sim.simulator import KERNELS, Simulator
+from repro.sim.config import fig10_configs, skylake_server
+from repro.sim.multicore import MultiCoreSimulator
+from repro.sim.parity import canonical_result_json
+from repro.sim.simulator import Simulator
 
 SMOKE_WORKLOADS = ("mcf_like", "tpcc_like")
 SMOKE_PAIRS = [
     (config, workload)
-    for config, workload in differential_matrix(quick=True)
-    if workload in SMOKE_WORKLOADS
+    for config in (skylake_server(), *fig10_configs())
+    for workload in SMOKE_WORKLOADS
 ]
 
+MATRIX_DIGESTS = {
+    "baseline_server|mcf_like": "68b3a25524f9964c448960462b0e5d7affd461fc3ea2ae1d0251f62759e7b926",
+    "baseline_server|tpcc_like": "f16a7e36b7fdf46bdff9159a0b1d3e1ae7d45de355083ea5ad2f48796851d745",
+    "noL2_6.5MB|mcf_like": "a974e511cf9790a8b68df5e2c42c5b6b6c9acffa74ca8bb4cfd95289e333b726",
+    "noL2_6.5MB|tpcc_like": "1fb8046dc9c5edec174bf47b802e6a2e99a9bf2d936ed9c16a33d4d0cc3d0c43",
+    "noL2_9.5MB|mcf_like": "9f7168e670bc481691dd0a6ece0642407d4de3b4f252bcc78209a7513fc963a3",
+    "noL2_9.5MB|tpcc_like": "adfc6f09c01fe10aa24ee0299b139320155d0fe912b044c34d5fc5377af3db6b",
+    "noL2_6.5MB+CATCH|mcf_like": "ed1df865a6f1e423351be37091bf2155ddebd7b38aa42d17d16cd3a654063ef6",
+    "noL2_6.5MB+CATCH|tpcc_like": "752f604dcf260d504c50b68d0f82dabbf1d11b776cf60a0789c072910ec5aec4",
+    "noL2_9.5MB+CATCH|mcf_like": "c25103d6fe2d1fc55c0cc188c10b7ff8a5ca241ee533fc116812e27c127d1285",
+    "noL2_9.5MB+CATCH|tpcc_like": "91be5ddd03c4bbc117c76a96255bb666e44c0fd55cdf78a987a97b265dd8b9e7",
+    "CATCH|mcf_like": "003c726b423c284632d8f39e910a62193f032855b37dc716933668b38950e79a",
+    "CATCH|tpcc_like": "dd50a91da91823f29b547ef47c61fdea2c5e89a138e08daf156c8fc967579ddc",
+}
+NO_WARMUP_DIGEST = "067ab7cdda647a9d79000c16df7ae49e3ffac3774a46959618e453123e297f36"
+LATENCY_POLICY_DIGEST = "044b08fee75f81170b941f95852067958bca3c829100fa1af7f031cf2889cbce"
 
-def _first_diff(a: str, b: str) -> str:
-    for i, (ca, cb) in enumerate(zip(a, b)):
-        if ca != cb:
-            return f"first diff at char {i}: ...{a[i:i + 60]!r} vs ...{b[i:i + 60]!r}"
-    return f"length mismatch: {len(a)} vs {len(b)}"
+
+def _digest(result) -> str:
+    return hashlib.sha256(canonical_result_json(result).encode()).hexdigest()
+
+
+def _tax(pc, level, latency):
+    return latency + 2.0
 
 
 class TestMatrixParity:
@@ -45,94 +68,75 @@ class TestMatrixParity:
         ids=[f"{c.name}-{w}" for c, w in SMOKE_PAIRS],
     )
     def test_byte_identical_across_matrix(self, config, workload):
-        cmp = compare_kernels(config, workload, 4000)
-        assert cmp.match, (
-            f"{config.name}/{workload}: kernel divergence — "
-            + _first_diff(cmp.reference_json, cmp.fast_json)
-        )
+        result = Simulator(config).run(workload, 4000)
+        assert _digest(result) == MATRIX_DIGESTS[f"{config.name}|{workload}"]
 
     def test_parity_without_warmup(self):
-        cmp = compare_kernels(skylake_server(), "hmmer_like", 3000, warmup=False)
-        assert cmp.match, _first_diff(cmp.reference_json, cmp.fast_json)
+        result = Simulator(skylake_server()).run("hmmer_like", 3000, warmup=False)
+        assert _digest(result) == NO_WARMUP_DIGEST
 
     def test_parity_with_latency_policy(self):
         """The hierarchy's latency_policy hook runs inside the inlined hit
-        path; parity must hold with it installed."""
-
-        def tax(pc, level, latency):
-            return latency + 2.0
-
-        results = {}
-        for kernel in KERNELS:
-            sim = Simulator(skylake_server())
-            results[kernel] = sim.run(
-                "mcf_like", 3000, latency_policy=tax, kernel=kernel
-            )
-        ref = canonical_result_json(results["reference"])
-        fast = canonical_result_json(results["fast"])
-        assert ref == fast, _first_diff(ref, fast)
+        path; the pinned result must hold with it installed."""
+        result = Simulator(skylake_server()).run(
+            "mcf_like", 3000, latency_policy=_tax
+        )
+        assert _digest(result) == LATENCY_POLICY_DIGEST
 
     def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            Simulator(skylake_server()).run("mcf_like", 1000, kernel="turbo")
+        """There is one kernel: a stale ``kernel=`` argument is an error,
+        on the single-core and the mix simulator alike, never ignored."""
+        with pytest.raises(TypeError, match="kernel"):
+            Simulator(skylake_server()).run("mcf_like", 1000, kernel="fast")
+        with pytest.raises(TypeError, match="kernel"):
+            MultiCoreSimulator(skylake_server()).run(
+                "hmmer_like+hmmer_like+hmmer_like+hmmer_like", 1000,
+                kernel="fast",
+            )
 
 
 class TestHookSemantics:
-    """The fast kernel must keep the per-instruction hook contract."""
+    """The kernel keeps the per-instruction hook contract."""
 
     def test_on_instruction_counts_match(self):
-        counts = {}
-        for kernel in KERNELS:
-            seen = []
-            Simulator(skylake_server()).run(
-                "hmmer_like", 1500, on_instruction=seen.append, kernel=kernel
-            )
-            counts[kernel] = seen
-        assert counts["fast"] == counts["reference"]
-        assert counts["fast"][0] == 1  # called after every instruction, from 1
-        assert counts["fast"] == list(range(1, len(counts["fast"]) + 1))
+        seen = []
+        result = Simulator(skylake_server()).run(
+            "hmmer_like", 1500, on_instruction=seen.append
+        )
+        # Called after every stepped instruction, warm-up included, from 1.
+        assert seen == list(range(1, 2 * result.instructions + 1))
 
     def test_on_instruction_aborts_at_exact_index(self):
         class Boom(Exception):
             pass
 
-        for kernel in KERNELS:
-            seen = []
+        seen = []
 
-            def hook(idx):
-                seen.append(idx)
-                if idx == 100:
-                    raise Boom
+        def hook(idx):
+            seen.append(idx)
+            if idx == 100:
+                raise Boom
 
-            with pytest.raises(Boom):
-                Simulator(skylake_server()).run(
-                    "hmmer_like", 1500, on_instruction=hook, kernel=kernel
-                )
-            assert seen[-1] == 100 and len(seen) == 100, kernel
+        with pytest.raises(Boom):
+            Simulator(skylake_server()).run(
+                "hmmer_like", 1500, on_instruction=hook
+            )
+        assert seen[-1] == 100 and len(seen) == 100
 
     def test_fast_kernel_polls_deadline_on_stride(self):
         seen = []
         Simulator(skylake_server()).run(
-            "hmmer_like", 1500, warmup=False, deadline=seen.append,
-            kernel="fast",
+            "hmmer_like", 1500, warmup=False, deadline=seen.append
         )
         assert 0 in seen  # phase boundaries always notify
         nonzero = [i for i in seen if i]
-        assert nonzero, "deadline never polled mid-span"
-        assert all(i % DEADLINE_CHECK_INTERVAL == 0 for i in nonzero)
-
-    def test_reference_kernel_polls_deadline_every_instruction(self):
-        seen = []
-        Simulator(skylake_server()).run(
-            "hmmer_like", 1500, warmup=False, deadline=seen.append,
-            kernel="reference",
+        assert nonzero == list(
+            range(DEADLINE_CHECK_INTERVAL, 1501, DEADLINE_CHECK_INTERVAL)
         )
-        nonzero = [i for i in seen if i]
-        assert len(nonzero) >= 1500  # one call per stepped instruction
 
     def test_runner_deadline_fires_under_fast_kernel(self):
-        """A wall-clock ``Deadline`` must still abort a fast-kernel run
-        mid-span, not merely at phase boundaries."""
+        """A wall-clock ``Deadline`` must still abort a run mid-span, not
+        merely at phase boundaries."""
         t = 0.0
 
         def fake_clock():
@@ -143,8 +147,7 @@ class TestHookSemantics:
         deadline = Deadline(1.0, fake_clock)
         with pytest.raises(RunTimeoutError):
             Simulator(skylake_server()).run(
-                "hmmer_like", 2000, warmup=False, deadline=deadline,
-                kernel="fast",
+                "hmmer_like", 2000, warmup=False, deadline=deadline
             )
 
 
@@ -188,3 +191,15 @@ class TestCheckpointTelemetryParity:
         assert canonical_result_json(
             with_telemetry, include_telemetry=True
         ) != canonical_result_json(plain, include_telemetry=True)
+
+
+if __name__ == "__main__":
+    print("MATRIX_DIGESTS = {")
+    for config, workload in SMOKE_PAIRS:
+        digest = _digest(Simulator(config).run(workload, 4000))
+        print(f'    "{config.name}|{workload}": "{digest}",')
+    print("}")
+    print("NO_WARMUP_DIGEST =", repr(_digest(
+        Simulator(skylake_server()).run("hmmer_like", 3000, warmup=False))))
+    print("LATENCY_POLICY_DIGEST =", repr(_digest(
+        Simulator(skylake_server()).run("mcf_like", 3000, latency_policy=_tax))))

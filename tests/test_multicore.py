@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.errors import InjectedFault, RunFailure, RunTimeoutError
+from repro.runner import ExperimentRunner
+from repro.runner.runner import DEADLINE_CHECK_INTERVAL
 from repro.sim.config import skylake_server
 from repro.sim.metrics import MPRunResult
 from repro.sim.multicore import MultiCoreSimulator, alone_ipcs, relocate_trace
-from repro.workloads.suites import build_trace, mp_mixes
+from repro.workloads.suites import build_trace, get_spec, mp_mixes
 
 N = 8000
 
@@ -100,3 +103,74 @@ def test_mpresult_weighted_speedup():
     )
     alone = {"a": 2.0, "b": 2.0, "c": 2.0, "d": 2.0}
     assert res.weighted_speedup(alone) == pytest.approx(3.0)
+
+
+class TestMPHooks:
+    """Mix jobs keep the single-core hook contract on the global count: the
+    runner's instruction hook (fleet heartbeat, daemon lease renewal) and
+    its deadline ride them."""
+
+    MIX = "hmmer_like+mcf_like+tpcc_like+bwaves_like"
+    N = 1000
+
+    def _total(self) -> int:
+        """Instructions a mix steps: every core's whole trace."""
+        return sum(
+            len(build_trace(name, 2 * self.N * get_spec(name).length_multiplier))
+            for name in self.MIX.split("+")
+        )
+
+    def test_on_instruction_once_per_global_instruction(self):
+        seen = []
+        MultiCoreSimulator(skylake_server()).run(
+            self.MIX, self.N, on_instruction=seen.append
+        )
+        assert seen == list(range(1, self._total() + 1))
+
+    def test_injected_raise_aborts_at_exact_global_index(self):
+        seen = []
+
+        def tripwire(retired):
+            seen.append(retired)
+            if retired == 777:
+                raise InjectedFault("injected fault at instruction 777")
+
+        runner = ExperimentRunner(sleep=lambda s: None)
+        runner.instruction_hook = tripwire
+        with pytest.raises(RunFailure) as info:
+            runner.run(skylake_server(), self.MIX, self.N)
+        assert isinstance(info.value.__cause__, InjectedFault)
+        assert seen == list(range(1, 778))
+
+    def test_deadline_polled_on_global_stride(self):
+        seen = []
+        MultiCoreSimulator(skylake_server()).run(
+            self.MIX, self.N, deadline=seen.append
+        )
+        total = self._total()
+        assert seen[0] == 0  # after the trace build
+        assert seen[1:] == list(
+            range(DEADLINE_CHECK_INTERVAL, total + 1, DEADLINE_CHECK_INTERVAL)
+        )
+
+    def test_runner_deadline_fires_mid_mix(self):
+        ticks = [0.0]
+
+        def clock():
+            ticks[0] += 0.25
+            return ticks[0]
+
+        seen = []
+        runner = ExperimentRunner(timeout_s=1.0, clock=clock, sleep=lambda s: None)
+        runner.instruction_hook = seen.append
+        with pytest.raises(RunFailure) as info:
+            runner.run(skylake_server(), self.MIX, self.N)
+        assert isinstance(info.value.__cause__, RunTimeoutError)
+        assert 0 < seen[-1] < self._total()
+        assert seen[-1] % DEADLINE_CHECK_INTERVAL == 0
+
+    def test_stray_keyword_rejected(self):
+        with pytest.raises(TypeError):
+            MultiCoreSimulator(skylake_server()).run(
+                self.MIX, self.N, warmup=False
+            )

@@ -232,7 +232,8 @@ class TestCoreProperties:
         core.start(trace)
         last = 0.0
         for idx, ins in enumerate(instrs):
-            c = core.step(idx, ins)
+            core.run_span((ins,), idx)
+            c = core.time
             assert c >= last
             last = c
         assert core.time > 0
