@@ -14,10 +14,10 @@ is below ``1 - BOUND``, or when any run of either tree is wrong (its
 simulated results miss that tree's golden digests) or yields no
 throughput.  Exit 2 means the parent checkout is missing.
 
-``PAIRS`` and ``BOUND`` are sized from the spread of identical-tree runs on
-a 2-vCPU host (CHANGES.md records them): single-pair ratios of identical
-trees spread over 0.94-1.06, and the median of five stayed within 0.97-1.03,
-so a 7% bound passes identical trees while a seeded ~10% slowdown fails.
+``PAIRS`` and ``BOUND`` are sized from identical-tree runs on an idle 2-vCPU
+host (CHANGES.md records every run): single-pair ratios spread over
+0.86-1.15 and the median of five over 0.97-1.05, so a 7% bound passes
+identical trees while a seeded ~10% slowdown (medians 0.89) fails.
 """
 
 from __future__ import annotations

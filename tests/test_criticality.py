@@ -141,8 +141,7 @@ class TestCatchEngineWiring:
         """The confidence-reset epoch fires on the ``epoch``-th retired
         instruction and every ``epoch`` after, whether the kernel steps a
         stretch in one span (``fast``) or one instruction per span
-        (``reference``: the old per-instruction loop, and the multi-core
-        driver's shortest spans)."""
+        (``reference``, the multi-core driver's shortest span)."""
         epoch = 10
         engine = CatchEngine(
             CatchConfig(epoch_instructions=epoch, detector=detector)

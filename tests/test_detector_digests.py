@@ -107,10 +107,10 @@ def test_catch_result_digest(workload, detector):
 
 @pytest.mark.parametrize("detector", DETECTORS)
 def test_reference_kernel_matches_digest(detector, monkeypatch):
-    """Driven one instruction per span — the retired reference loop's
-    granularity, and the multi-core driver's shortest span — the kernel
-    feeds every detector the same retire stream and lands on the same
-    digest: no engine or core state may depend on where a span ends."""
+    """Driven one instruction per span (the multi-core driver's shortest
+    span), the kernel feeds every detector the same retire stream and lands
+    on the same digest: no engine or core state may depend on where a span
+    ends."""
     run_span = OOOCore.run_span
 
     def one_per_span(core, instrs, start_idx, **hooks):
