@@ -392,8 +392,7 @@ class TestComposition:
         assert a == b
 
     def test_next_line_kernel_parity(self):
-        """The registry-composed next-line machine keeps the result pinned
-        while the per-instruction reference kernel still agreed with it."""
+        """The registry-composed next-line machine keeps its pinned result."""
         cfg = replace(
             skylake_server(), name="nextline", prefetchers=("next-line",)
         )
